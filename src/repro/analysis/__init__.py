@@ -20,7 +20,6 @@ from repro.analysis.schedulability import (
 from repro.analysis.parallel import (
     RunFailure,
     RunSpec,
-    run_parallel,
     run_parallel_salvage,
 )
 from repro.analysis.stats import (
@@ -32,7 +31,6 @@ from repro.analysis.stats import (
 from repro.analysis.sweep import (
     CapacitySweepPoint,
     ReplicatedRun,
-    run_capacity_sweep,
     run_replications,
 )
 
@@ -57,8 +55,6 @@ __all__ = [
     "mean_confidence_interval",
     "min_energy_demand_rate",
     "miss_rate_by_task",
-    "run_capacity_sweep",
-    "run_parallel",
     "run_parallel_salvage",
     "run_replications",
     "summarize",

@@ -1,24 +1,23 @@
-"""Multi-process execution of replication sweeps.
+"""Crash-tolerant multi-process execution of sweep cells.
 
 The figure/table experiments replicate each configuration across many
-seeded task sets; the runs are embarrassingly parallel.  This module
-fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+seeded task sets; the runs are embarrassingly parallel.  This module is
+the scalar executor underneath :func:`repro.runtime.supervisor.
+run_supervised`:
 
 * :class:`RunSpec` — one picklable cell (setup + scheduler + capacity +
   seed);
-* :func:`run_parallel` — execute many specs, preserving input order;
-* :func:`parallel_miss_rates` — convenience wrapper returning pooled
-  miss rates per scheduler for one (utilization, capacity) cell.
+* :func:`run_parallel_salvage` — execute many specs in input order,
+  in-process for one worker (or one spec) and over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` otherwise, with
+  per-round timeouts, bounded retries with exponential backoff, and
+  salvage semantics: a cell that keeps failing becomes a
+  :class:`RunFailure` record in the result list instead of poisoning
+  the whole sweep.
 
-Results are returned *slim* by default (job list and trace dropped)
-because shipping thousands of job objects through IPC costs more than
-the simulation itself for short runs.
-
-For long fault-injection sweeps, :func:`run_parallel_salvage` adds crash
-tolerance on top: per-round timeouts, bounded retries with exponential
-backoff, and salvage semantics — a cell that keeps failing becomes a
-:class:`RunFailure` record in the (order-preserving) result list instead
-of poisoning the whole sweep.
+Results are returned *slim* (job list dropped) because
+shipping thousands of job objects through IPC costs more than the
+simulation itself for short runs.
 """
 
 from __future__ import annotations
@@ -30,25 +29,18 @@ import time
 import traceback as traceback_module
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.experiments.common import PaperSetup
 from repro.sim.simulator import SimulationResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.sweep import CapacitySweepPoint
-
 __all__ = [
     "RunFailure",
     "RunSpec",
-    "parallel_capacity_sweep",
-    "parallel_miss_rates",
     "retry_delay",
-    "run_parallel",
     "run_parallel_salvage",
 ]
 
@@ -63,81 +55,6 @@ class RunSpec:
     seed: int
     setup: PaperSetup = PaperSetup()
     energy_sample_interval: Optional[float] = None
-
-
-def _slim(result: SimulationResult) -> SimulationResult:
-    """Strip bulky per-job/trace payloads before crossing the process
-    boundary (metrics and counters are all the sweeps consume)."""
-    return dataclasses.replace(result, jobs=())
-
-
-def _execute(args: tuple[RunSpec, bool]) -> SimulationResult:
-    spec, slim = args
-    result = spec.setup.run(
-        scheduler_name=spec.scheduler_name,
-        utilization=spec.utilization,
-        capacity=spec.capacity,
-        seed=spec.seed,
-        energy_sample_interval=spec.energy_sample_interval,
-    )
-    return _slim(result) if slim else result
-
-
-@dataclass(frozen=True)
-class _WorkerError:
-    """Picklable capture of a worker-side exception.
-
-    Tracebacks do not survive the process boundary, so the worker
-    formats its own before returning; a :class:`WatchdogError`
-    additionally ships its structured diagnostics snapshot.
-    """
-
-    error_type: str
-    message: str
-    traceback: str
-    diagnostics: Optional[dict[str, Any]] = None
-
-
-def _capture_error(exc: BaseException) -> _WorkerError:
-    from repro.sim.watchdog import WatchdogError
-
-    diagnostics: Optional[dict[str, Any]] = None
-    if isinstance(exc, WatchdogError):
-        diagnostics = dataclasses.asdict(exc.diagnostics)
-    return _WorkerError(
-        error_type=type(exc).__name__,
-        message=str(exc) or type(exc).__name__,
-        traceback="".join(traceback_module.format_exception(exc)),
-        diagnostics=diagnostics,
-    )
-
-
-def _execute_captured(
-    args: tuple[RunSpec, bool]
-) -> Union[SimulationResult, _WorkerError]:
-    """Salvage-path twin of :func:`_execute`: errors return, never raise."""
-    try:
-        return _execute(args)
-    except Exception as exc:  # noqa: BLE001 - salvage semantics
-        return _capture_error(exc)
-
-
-def run_parallel(
-    specs: Sequence[RunSpec],
-    max_workers: Optional[int] = None,
-    slim: bool = True,
-) -> list[SimulationResult]:
-    """Run all specs across worker processes; results in input order.
-
-    With ``max_workers=1`` (or a single spec) everything runs in-process,
-    which keeps tests and small sweeps free of pool overhead.
-    """
-    if not specs:
-        return []
-    if max_workers == 1 or len(specs) == 1:
-        return [_execute((spec, slim)) for spec in specs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_execute, [(spec, slim) for spec in specs]))
 
 
 @dataclass(frozen=True)
@@ -158,8 +75,8 @@ class RunFailure:
         Whether the final failure was a timeout (vs. a raised error).
     traceback:
         The worker-side formatted traceback of the final error, when one
-        was captured (``None`` for timeouts and broken pools — there is
-        no worker stack to report).
+        was captured (``None`` for timeouts — there is no worker stack
+        to report).
     diagnostics:
         Structured :class:`~repro.sim.watchdog.SimulationDiagnostics`
         snapshot (as a plain dict) when the final error was a
@@ -179,40 +96,53 @@ class RunFailure:
     quarantined: bool = False
 
 
-def _failure(
-    spec: RunSpec, exc: BaseException, attempts: int, timed_out: bool = False
-) -> RunFailure:
-    captured = _capture_error(exc)
+def _failure(spec: RunSpec, exc: BaseException) -> RunFailure:
+    """Capture ``exc`` as a one-attempt failure record of ``spec``.
+
+    Tracebacks do not survive the process boundary, so a worker formats
+    its own before returning; a :class:`WatchdogError` additionally
+    ships its structured diagnostics snapshot.  Executors that retry
+    overwrite ``attempts`` with their own count.
+    """
+    from repro.sim.watchdog import WatchdogError
+
+    diagnostics: Optional[dict[str, Any]] = None
+    if isinstance(exc, WatchdogError):
+        diagnostics = dataclasses.asdict(exc.diagnostics)
     return RunFailure(
         spec=spec,
-        error_type=captured.error_type,
-        message=captured.message,
-        attempts=attempts,
-        timed_out=timed_out,
-        traceback=captured.traceback,
-        diagnostics=captured.diagnostics,
+        error_type=type(exc).__name__,
+        message=str(exc) or type(exc).__name__,
+        attempts=1,
+        traceback="".join(traceback_module.format_exception(exc)),
+        diagnostics=diagnostics,
     )
 
 
-def _failure_from_worker(
-    spec: RunSpec, err: _WorkerError, attempts: int
-) -> RunFailure:
-    return RunFailure(
-        spec=spec,
-        error_type=err.error_type,
-        message=err.message,
-        attempts=attempts,
-        timed_out=False,
-        traceback=err.traceback,
-        diagnostics=err.diagnostics,
-    )
+def _execute_captured(spec: RunSpec) -> Union[SimulationResult, RunFailure]:
+    """Run one cell and return its slim result; errors return, never raise.
+
+    This is the function the process pool submits.  The job list is
+    stripped before the result crosses the process boundary (metrics and
+    counters are all the sweeps consume).
+    """
+    try:
+        result = spec.setup.run(
+            scheduler_name=spec.scheduler_name,
+            utilization=spec.utilization,
+            capacity=spec.capacity,
+            seed=spec.seed,
+            energy_sample_interval=spec.energy_sample_interval,
+        )
+    except Exception as exc:  # noqa: BLE001 - salvage semantics
+        return _failure(spec, exc)
+    return dataclasses.replace(result, jobs=())
 
 
 def _pooled_round(
     specs: Sequence[RunSpec],
     indices: Sequence[int],
     max_workers: Optional[int],
-    slim: bool,
     timeout: Optional[float],
 ) -> dict[int, Union[SimulationResult, RunFailure]]:
     """Run one retry round of ``indices`` in a fresh process pool.
@@ -232,8 +162,7 @@ def _pooled_round(
     timed_out = False
     try:
         futures = {
-            i: pool.submit(_execute_captured, (specs[i], slim))
-            for i in indices
+            i: pool.submit(_execute_captured, specs[i]) for i in indices
         }
         start = time.monotonic()
         for i, future in futures.items():
@@ -249,22 +178,17 @@ def _pooled_round(
                     spec=specs[i],
                     error_type="TimeoutError",
                     message=f"no result within {timeout:g}s",
-                    attempts=0,  # filled in by the caller
+                    attempts=1,  # overwritten by the caller
                     timed_out=True,
                 )
                 continue
-            except BrokenProcessPool as exc:
-                # The worker died (e.g. by signal) — every sibling future
-                # of this pool is lost too; salvage them all from here.
-                outcome[i] = _failure(specs[i], exc, attempts=0)
-                continue
             except Exception as exc:  # noqa: BLE001 - salvage any pool error
-                outcome[i] = _failure(specs[i], exc, attempts=0)
+                # Includes BrokenProcessPool: the worker died (e.g. by
+                # signal) and every sibling future of this pool is lost
+                # too; salvage them all from here.
+                outcome[i] = _failure(specs[i], exc)
                 continue
-            if isinstance(cell, _WorkerError):
-                outcome[i] = _failure_from_worker(specs[i], cell, attempts=0)
-            else:
-                outcome[i] = cell
+            outcome[i] = cell
     finally:
         pool.shutdown(wait=not timed_out, cancel_futures=True)
     return outcome
@@ -308,16 +232,15 @@ def _retry_order(pending: Sequence[int], round_no: int, seed: int) -> list[int]:
 def run_parallel_salvage(
     specs: Sequence[RunSpec],
     max_workers: Optional[int] = None,
-    slim: bool = True,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.5,
     jitter: float = 0.0,
     seed: int = 0,
 ) -> list[Union[SimulationResult, RunFailure]]:
-    """Crash-tolerant twin of :func:`run_parallel`.
+    """Run every spec, in-process or pooled, salvaging failures.
 
-    Every spec yields exactly one entry, in input order: its
+    Every spec yields exactly one entry, in input order: its slim
     :class:`~repro.sim.SimulationResult` on success, or a
     :class:`RunFailure` record (carrying the worker traceback and, for
     watchdog aborts, the structured diagnostics snapshot) once
@@ -326,6 +249,10 @@ def run_parallel_salvage(
 
     Parameters
     ----------
+    max_workers:
+        Worker processes; ``1`` (or a single spec) runs in-process,
+        ``None`` uses one per CPU.  A pooled run opens one fresh pool
+        per retry round.
     timeout:
         Per-cell wall-clock timeout in seconds.  Cells of one retry
         round run concurrently, so the round's budget is ``timeout``
@@ -372,115 +299,21 @@ def run_parallel_salvage(
             if delay > 0:
                 time.sleep(delay)
             pending = _retry_order(pending, round_no, seed)
-        still_failing: list[int] = []
         if serial:
-            for i in pending:
-                attempts[i] += 1
-                cell = _execute_captured((specs[i], slim))
-                if isinstance(cell, _WorkerError):
-                    failures[i] = _failure_from_worker(
-                        specs[i], cell, attempts[i]
-                    )
-                    still_failing.append(i)
-                else:
-                    results[i] = cell
+            outcome = {i: _execute_captured(specs[i]) for i in pending}
         else:
-            outcome = _pooled_round(specs, pending, max_workers, slim, timeout)
-            for i in pending:
-                attempts[i] += 1
-                cell = outcome[i]
-                if isinstance(cell, RunFailure):
-                    failures[i] = dataclasses.replace(cell, attempts=attempts[i])
-                    still_failing.append(i)
-                else:
-                    results[i] = cell
+            outcome = _pooled_round(specs, pending, max_workers, timeout)
+        still_failing: list[int] = []
+        for i in pending:
+            attempts[i] += 1
+            cell = outcome[i]
+            if isinstance(cell, RunFailure):
+                failures[i] = dataclasses.replace(cell, attempts=attempts[i])
+                still_failing.append(i)
+            else:
+                results[i] = cell
         pending = still_failing
     for i in pending:
         results[i] = failures[i]
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
-
-
-def parallel_capacity_sweep(
-    scheduler_names: Sequence[str],
-    utilization: float,
-    capacities: Sequence[float],
-    seeds: Sequence[int],
-    setup: Optional[PaperSetup] = None,
-    max_workers: Optional[int] = None,
-) -> "list[CapacitySweepPoint]":
-    """Parallel twin of :func:`repro.analysis.sweep.run_capacity_sweep`.
-
-    Returns the same ``list[CapacitySweepPoint]`` structure (with slim
-    results inside), so the figure harness can switch transparently
-    between serial and parallel execution.
-    """
-    from repro.analysis.metrics import aggregate_results
-    from repro.analysis.sweep import CapacitySweepPoint, ReplicatedRun
-
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for capacity in capacities
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    results = run_parallel(specs, max_workers=max_workers)
-    points = []
-    index = 0
-    per_cell = len(seeds)
-    for capacity in capacities:
-        cell = {}
-        for name in scheduler_names:
-            chunk = tuple(results[index : index + per_cell])
-            index += per_cell
-            cell[name] = ReplicatedRun(
-                scheduler_name=name,
-                capacity=capacity,
-                results=chunk,
-                metrics=aggregate_results(chunk),
-            )
-        points.append(CapacitySweepPoint(capacity=capacity, by_scheduler=cell))
-    return points
-
-
-def parallel_miss_rates(
-    scheduler_names: Sequence[str],
-    utilization: float,
-    capacity: float,
-    seeds: Sequence[int],
-    setup: Optional[PaperSetup] = None,
-    max_workers: Optional[int] = None,
-) -> dict[str, float]:
-    """Pooled miss rate per scheduler for one configuration cell.
-
-    All schedulers share the same seeds (paired comparison), and all
-    (scheduler, seed) runs go through one process pool.
-    """
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    results = run_parallel(specs, max_workers=max_workers)
-    rates: dict[str, float] = {}
-    per_name = len(seeds)
-    for i, name in enumerate(scheduler_names):
-        chunk = results[i * per_name : (i + 1) * per_name]
-        missed = sum(r.missed_count for r in chunk)
-        judged = sum(r.judged_count for r in chunk)
-        rates[name] = missed / judged if judged else 0.0
-    return rates

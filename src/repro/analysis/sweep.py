@@ -1,13 +1,14 @@
-"""Replication and parameter-sweep drivers.
+"""Replication results and the factory-level replication reference.
 
-The experiment harness runs each configuration over many independently
-seeded task sets / source realizations and aggregates.  The drivers here
-are generic over a *run factory*::
+:class:`ReplicatedRun` and :class:`CapacitySweepPoint` are the shapes
+the capacity sweeps aggregate into
+(:func:`repro.runtime.sweep.journaled_capacity_sweep` builds them).
+:func:`run_replications` is the plain in-process reference the sweep
+path is checked against; it is generic over a *run factory*::
 
     factory(scheduler_name: str, capacity: float, seed: int) -> SimulationResult
 
-so the same machinery serves the paper experiments, the ablations and the
-tests (which plug in tiny synthetic factories).
+so examples and tests can plug in tiny synthetic factories.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ReplicatedRun",
     "CapacitySweepPoint",
     "run_replications",
-    "run_capacity_sweep",
 ]
 
 RunFactory = Callable[[str, float, int], SimulationResult]
@@ -67,27 +67,3 @@ def run_replications(
         results=results,
         metrics=aggregate_results(results),
     )
-
-
-def run_capacity_sweep(
-    factory: RunFactory,
-    scheduler_names: Sequence[str],
-    capacities: Sequence[float],
-    seeds: Sequence[int],
-) -> list[CapacitySweepPoint]:
-    """Sweep capacities for several schedulers over common seeds.
-
-    All schedulers at one capacity see the *same* seeds (paired
-    comparison — the variance of the LSA/EA-DVFS difference is much lower
-    than with independent draws).
-    """
-    if not scheduler_names:
-        raise ValueError("at least one scheduler is required")
-    points = []
-    for capacity in capacities:
-        cell = {
-            name: run_replications(factory, name, capacity, seeds)
-            for name in scheduler_names
-        }
-        points.append(CapacitySweepPoint(capacity=capacity, by_scheduler=cell))
-    return points

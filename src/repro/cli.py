@@ -543,12 +543,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.parallel import RunFailure, RunSpec
-    from repro.runtime import (
-        ResultJournal,
-        SupervisorPolicy,
-        run_supervised,
+    from repro.runtime import ResultJournal, SupervisorPolicy
+    from repro.runtime.sweep import (
+        JOURNAL_ENV,
+        engine_from_env,
+        run_journaled_sweep,
     )
-    from repro.runtime.sweep import JOURNAL_ENV, engine_from_env
 
     try:
         capacities = [float(c) for c in args.capacities.split(",") if c]
@@ -614,7 +614,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        report = run_supervised(
+        report = run_journaled_sweep(
             specs,
             policy=policy,
             journal=journal,

@@ -71,9 +71,9 @@ def replications(base: int) -> int:
 def workers() -> int:
     """Worker-process count for the heavy sweeps (``REPRO_WORKERS``).
 
-    Defaults to 1 (serial).  Values above 1 route the figure/table
-    sweeps through :mod:`repro.analysis.parallel`; useful together with
-    large ``REPRO_SCALE`` settings.
+    Defaults to 1 (serial).  Values above 1 pool the sweeps' scalar
+    cells over that many processes; useful together with large
+    ``REPRO_SCALE`` settings.
     """
     raw = os.environ.get("REPRO_WORKERS", "1")
     try:

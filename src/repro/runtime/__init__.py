@@ -9,11 +9,14 @@ package makes those sweeps survive crashes, kills and budget limits:
   torn-write recovery on open;
 * :mod:`repro.runtime.supervisor` — a **worker supervisor** layering
   checkpoint/resume, deterministic seeded retry backoff, poisoned-task
-  quarantine and wall-clock/memory budgets over
-  :func:`repro.analysis.parallel.run_parallel_salvage`;
-* :mod:`repro.runtime.sweep` — journal-aware twins of the parallel
-  sweep helpers, plus the ``$REPRO_JOURNAL`` wiring that makes the
-  existing experiments resumable without code changes.
+  quarantine and wall-clock/memory budgets over the scalar executor
+  (:func:`repro.analysis.parallel.run_parallel_salvage`) or the batch
+  engine (:func:`repro.sim.batch.execute_runspecs`);
+* :mod:`repro.runtime.sweep` — the one sweep path every experiment
+  uses (:func:`~repro.runtime.sweep.run_journaled_sweep` and its grid
+  helper :func:`~repro.runtime.sweep.journaled_capacity_sweep`), plus
+  the ``$REPRO_JOURNAL`` / ``$REPRO_ENGINE`` wiring that makes every
+  experiment resumable and engine-selectable without code changes.
 
 The chaos harness exercising all of this lives in
 :mod:`repro.faults.chaos`; format and semantics are documented in
@@ -40,7 +43,6 @@ from repro.runtime.sweep import (
     SweepFailedError,
     journal_from_env,
     journaled_capacity_sweep,
-    journaled_miss_rates,
     run_journaled_sweep,
 )
 
@@ -56,7 +58,6 @@ __all__ = [
     "journal_from_env",
     "journal_key",
     "journaled_capacity_sweep",
-    "journaled_miss_rates",
     "result_from_payload",
     "result_to_payload",
     "run_journaled_sweep",

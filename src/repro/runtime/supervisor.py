@@ -73,9 +73,6 @@ class SupervisorPolicy:
     #: Stop launching new batches once the process RSS exceeds this many
     #: MiB (best effort — measured via ``resource.getrusage``).
     max_rss_mb: Optional[float] = None
-    #: Cells per supervised batch (= checkpoint granularity).  Default:
-    #: one batch per worker round.
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -83,10 +80,6 @@ class SupervisorPolicy:
         if self.quarantine_after < 1:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after!r}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size!r}"
             )
         if self.max_wall_clock is not None and self.max_wall_clock <= 0:
             raise ValueError(
@@ -224,15 +217,15 @@ def run_supervised(
     policy: SupervisorPolicy = SupervisorPolicy(),
     journal: Optional[ResultJournal] = None,
     max_workers: Optional[int] = None,
-    slim: bool = True,
     engine: str = "scalar",
 ) -> SweepReport:
     """Run ``specs`` under supervision; see the module docstring.
 
-    Without a journal this degrades to batched
+    Without a journal this degrades to
     :func:`~repro.analysis.parallel.run_parallel_salvage` with budget
     enforcement.  With one, the call is idempotent: rerunning after any
-    interruption converges to the same result set.
+    interruption converges to the same result set.  Results are slim
+    (``jobs=()``) on both engines.
 
     ``engine="batch"`` routes each batch through the vectorized SoA core
     (:func:`repro.sim.batch.execute_runspecs`); cells the core does not
@@ -264,20 +257,27 @@ def run_supervised(
                 continue
         pending.append(i)
 
-    batch_size = policy.batch_size
-    if batch_size is None:
-        # The vectorized engine amortizes per-pass dispatch over every
-        # lane, so it wants the widest batch available; the scalar pool
-        # checkpoints once per worker round.
-        batch_size = (
-            max(1, len(pending)) if engine == "batch" else (max_workers or 1)
-        )
+    # Batches are the checkpoint and budget-check granularity.  The
+    # vectorized engine amortizes per-pass dispatch over every lane, and
+    # with no journal and no budget nothing consumes checkpoints, so
+    # both take every pending cell at once (one process pool per retry
+    # round); otherwise the scalar engine checkpoints once per worker
+    # round.
+    checkpointed = (
+        journal is not None
+        or policy.max_wall_clock is not None
+        or policy.max_rss_mb is not None
+    )
+    if engine == "batch" or not checkpointed:
+        per_batch = max(1, len(pending))
+    else:
+        per_batch = max_workers or 1
     executed = 0
     batch_fallbacks = 0
     fallback_reasons: dict[str, int] = {}
     budget_exhausted: Optional[str] = None
 
-    for start in range(0, len(pending), batch_size):
+    for start in range(0, len(pending), per_batch):
         if policy.max_wall_clock is not None and (
             time.monotonic() - started >= policy.max_wall_clock
         ):
@@ -288,12 +288,12 @@ def run_supervised(
             if rss is not None and rss >= policy.max_rss_mb:
                 budget_exhausted = "memory"
                 break
-        batch = pending[start:start + batch_size]
+        batch = pending[start:start + per_batch]
         if engine == "batch":
             from repro.sim.batch import execute_runspecs
 
             batch_outcomes, batch_reasons = execute_runspecs(
-                [specs[i] for i in batch], slim=slim
+                [specs[i] for i in batch]
             )
             batch_fallbacks += sum(batch_reasons.values())
             for reason, count in batch_reasons.items():
@@ -304,7 +304,6 @@ def run_supervised(
             batch_outcomes = run_parallel_salvage(
                 [specs[i] for i in batch],
                 max_workers=max_workers,
-                slim=slim,
                 timeout=policy.timeout,
                 retries=policy.retries,
                 backoff=policy.backoff,

@@ -1,10 +1,12 @@
-"""High-level resumable sweeps: the experiments' entry into the runtime.
+"""The one sweep path: every experiment's entry into the runtime.
 
 The figure/table harnesses describe their work as lists of
-:class:`~repro.analysis.parallel.RunSpec` cells; this module executes
-them through the supervisor with an optional journal attached, and
-re-aggregates outcomes into the shapes the experiments consume
-(per-scheduler miss rates, capacity-sweep points).
+:class:`~repro.analysis.parallel.RunSpec` cells;
+:func:`run_journaled_sweep` executes them through the supervisor on the
+chosen engine with an optional journal attached, and
+:func:`journaled_capacity_sweep` builds the (capacity x scheduler x
+seed) grid and re-aggregates the outcomes into capacity-sweep points.
+No experiment picks an execution path of its own.
 
 Journal selection is environment-driven so every existing experiment
 becomes resumable without new plumbing: set ``REPRO_JOURNAL=/path/to/
@@ -36,7 +38,6 @@ __all__ = [
     "engine_from_env",
     "journal_from_env",
     "journaled_capacity_sweep",
-    "journaled_miss_rates",
     "run_journaled_sweep",
 ]
 
@@ -131,50 +132,6 @@ def _complete_results(report: SweepReport) -> None:
         )
 
 
-def journaled_miss_rates(
-    scheduler_names: Sequence[str],
-    utilization: float,
-    capacity: float,
-    seeds: Sequence[int],
-    setup: Optional[PaperSetup] = None,
-    journal: Optional[ResultJournal] = None,
-    policy: SupervisorPolicy = SupervisorPolicy(),
-    max_workers: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> dict[str, float]:
-    """Journal-aware twin of
-    :func:`repro.analysis.parallel.parallel_miss_rates`."""
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    report = run_journaled_sweep(
-        specs,
-        journal=journal,
-        policy=policy,
-        max_workers=max_workers,
-        engine=engine,
-    )
-    _complete_results(report)
-    results = report.results()
-    rates: dict[str, float] = {}
-    per_name = len(seeds)
-    for i, name in enumerate(scheduler_names):
-        chunk = results[i * per_name : (i + 1) * per_name]
-        missed = sum(r.missed_count for r in chunk)
-        judged = sum(r.judged_count for r in chunk)
-        rates[name] = missed / judged if judged else 0.0
-    return rates
-
-
 def journaled_capacity_sweep(
     scheduler_names: Sequence[str],
     utilization: float,
@@ -186,16 +143,19 @@ def journaled_capacity_sweep(
     max_workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> "list[CapacitySweepPoint]":
-    """Journal-aware twin of
-    :func:`repro.analysis.parallel.parallel_capacity_sweep`.
+    """Pooled miss rates over a (capacity x scheduler x seed) grid.
 
-    Returns the same ``list[CapacitySweepPoint]`` structure, so the
-    figure harness switches transparently between serial, pooled and
-    resumable execution.
+    All schedulers at one capacity see the *same* seeds (paired
+    comparison — the variance of the LSA/EA-DVFS difference is much
+    lower than with independent draws).  Every cell runs through
+    :func:`run_journaled_sweep`; a failed or unrun cell raises, since a
+    pooled rate over a partial grid would be silently wrong.
     """
     from repro.analysis.metrics import aggregate_results
     from repro.analysis.sweep import CapacitySweepPoint, ReplicatedRun
 
+    if not scheduler_names:
+        raise ValueError("at least one scheduler is required")
     setup = setup or PaperSetup()
     specs = [
         RunSpec(

@@ -27,8 +27,9 @@ constant / solar-stochastic / day-night sources (unfaulted), finite
 state lives in per-lane arrays, updated by the kernels in
 :mod:`repro.energy.vectorized`), both miss policies, zero switching
 overhead, no tracing/sampling.  Everything else (fault plans, infinite
-storage, custom schedulers, per-run energy sampling) falls back
-per-scenario to the scalar simulator; :class:`BatchRunner` counts those
+storage, custom schedulers, per-run energy sampling, setups that
+override ``run``) falls back per-scenario to the scalar simulator;
+:func:`execute_runspecs` and :func:`run_scenario_batch` count those
 fallbacks so sweeps can report them (``SweepReport.batch_fallbacks`` /
 ``SweepReport.fallback_reasons``).
 """
@@ -38,7 +39,6 @@ fallbacks so sweeps can report them (``SweepReport.batch_fallbacks`` /
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -87,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BatchOutcome",
-    "BatchRunner",
     "UncoveredScenarioError",
     "run_scenario_batch",
     "execute_runspecs",
@@ -1323,10 +1322,17 @@ def scenario_fallback_reason(
 def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
     """Why this sweep cell needs the scalar engine, or None.
 
-    All four predictor kinds are vectorized; an unknown kind raises at
-    lane build (exactly where the scalar ``PaperSetup.predictor`` would)
-    and is journaled as a cell failure, not a fallback.
+    A setup class that overrides ``run`` (fault wrappers, watchdog
+    settings, test doubles) defines its own simulation, which the lane
+    builder cannot see, so it always runs scalar.  All four predictor
+    kinds are vectorized; an unknown kind raises at lane build (exactly
+    where the scalar ``PaperSetup.predictor`` would) and is journaled as
+    a cell failure, not a fallback.
     """
+    from repro.experiments.common import PaperSetup
+
+    if type(spec.setup).run is not PaperSetup.run:
+        return f"setup {type(spec.setup).__name__} overrides run"
     if spec.scheduler_name not in SCHEDULER_KINDS:
         return f"scheduler {spec.scheduler_name!r} not vectorized"
     if spec.energy_sample_interval is not None:
@@ -1353,99 +1359,94 @@ class BatchOutcome:
     fallback_reasons: dict[str, int]
 
 
-class BatchRunner:
-    """Front-end routing work through the SoA core with scalar fallback.
+def run_scenario_batch(
+    specs: Sequence["ScenarioSpec"], scheduler_name: str
+) -> BatchOutcome:
+    """Run every spec under ``scheduler_name``; scalar where uncovered.
 
-    The runner is stateless; it exists to give sweeps and experiments a
-    single object to hold (mirroring how they hold a ``PaperSetup``)
-    and to keep the fallback policy in one place.
+    Results are full (job tuples included): the differential harness
+    compares them job by job.
     """
-
-    def run_scenarios(
-        self, specs: Sequence["ScenarioSpec"], scheduler_name: str
-    ) -> BatchOutcome:
-        """Run every spec under ``scheduler_name``; scalar where uncovered."""
-        n = len(specs)
-        results: list[Optional[SimulationResult]] = [None] * n
-        reasons: dict[str, int] = {}
-        batch_indices: list[int] = []
-        lanes: list[_Lane] = []
-        for i, spec in enumerate(specs):
-            reason = scenario_fallback_reason(spec, scheduler_name)
-            if reason is None:
-                try:
-                    lanes.append(_scenario_lane(spec, scheduler_name))
-                    batch_indices.append(i)
-                    continue
-                except UncoveredScenarioError as exc:
-                    reason = str(exc)
+    n = len(specs)
+    results: list[Optional[SimulationResult]] = [None] * n
+    reasons: dict[str, int] = {}
+    batch_indices: list[int] = []
+    lanes: list[_Lane] = []
+    for i, spec in enumerate(specs):
+        reason = scenario_fallback_reason(spec, scheduler_name)
+        if reason is None:
+            try:
+                lanes.append(_scenario_lane(spec, scheduler_name))
+                batch_indices.append(i)
+                continue
+            except UncoveredScenarioError as exc:
+                reason = str(exc)
+        reasons[reason] = reasons.get(reason, 0) + 1
+        results[i] = spec.run(scheduler_name)
+    core = _BatchCore(lanes)
+    core.run()
+    for pos, i in enumerate(batch_indices):
+        if core.errors[pos] is None:
+            results[i] = core.result(pos)
+        else:
+            reason = f"batch core: {core.errors[pos]}"
             reasons[reason] = reasons.get(reason, 0) + 1
-            results[i] = spec.run(scheduler_name)
-        core = _BatchCore(lanes)
-        core.run()
-        for pos, i in enumerate(batch_indices):
-            if core.errors[pos] is None:
-                results[i] = core.result(pos)
-            else:
-                reason = f"batch core: {core.errors[pos]}"
-                reasons[reason] = reasons.get(reason, 0) + 1
-                results[i] = specs[i].run(scheduler_name)
-        final = tuple(r for r in results if r is not None)
-        assert len(final) == n
-        return BatchOutcome(
-            results=final,
-            fallbacks=sum(reasons.values()),
-            fallback_reasons=reasons,
-        )
+            results[i] = specs[i].run(scheduler_name)
+    final = tuple(r for r in results if r is not None)
+    assert len(final) == n
+    return BatchOutcome(
+        results=final,
+        fallbacks=sum(reasons.values()),
+        fallback_reasons=reasons,
+    )
 
-    def run_specs(
-        self, specs: Sequence["RunSpec"], slim: bool = True
-    ) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
-        """Execute sweep cells; returns (outcomes, fallback histogram).
 
-        The scalar fallback (and any error, batch or scalar) is captured
-        as a :class:`~repro.analysis.parallel.RunFailure` so the
-        supervisor can journal it exactly like a pooled failure.
-        """
-        import dataclasses
+def execute_runspecs(
+    specs: Sequence["RunSpec"],
+) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
+    """Execute sweep cells; returns (slim outcomes, fallback histogram).
 
-        n = len(specs)
-        outcomes: list[Optional[Union[SimulationResult, "RunFailure"]]] = (
-            [None] * n
-        )
-        reasons: dict[str, int] = {}
-        batch_indices: list[int] = []
-        lanes: list[_Lane] = []
-        for i, spec in enumerate(specs):
-            reason = runspec_fallback_reason(spec)
-            if reason is None:
-                try:
-                    lanes.append(_runspec_lane(spec, slim=slim))
-                    batch_indices.append(i)
-                    continue
-                except UncoveredScenarioError as exc:
-                    reason = str(exc)
-                except Exception as exc:  # setup error: report as failure
-                    outcomes[i] = _capture_failure(spec, exc)
-                    continue
+    Uncovered cells run on the scalar engine through the pool's own
+    cell executor, so any error (batch or scalar) is captured as a
+    :class:`~repro.analysis.parallel.RunFailure` — traceback and
+    watchdog diagnostics included — and the supervisor journals it
+    exactly like a pooled failure.
+    """
+    from repro.analysis.parallel import _execute_captured, _failure
+
+    n = len(specs)
+    outcomes: list[Optional[Union[SimulationResult, "RunFailure"]]] = (
+        [None] * n
+    )
+    reasons: dict[str, int] = {}
+    batch_indices: list[int] = []
+    lanes: list[_Lane] = []
+    for i, spec in enumerate(specs):
+        reason = runspec_fallback_reason(spec)
+        if reason is None:
+            try:
+                lanes.append(_runspec_lane(spec))
+                batch_indices.append(i)
+                continue
+            except UncoveredScenarioError as exc:
+                reason = str(exc)
+            except Exception as exc:  # setup error: report as failure
+                outcomes[i] = _failure(spec, exc)
+                continue
+        reasons[reason] = reasons.get(reason, 0) + 1
+        outcomes[i] = _execute_captured(spec)
+    core = _BatchCore(lanes)
+    core.run()
+    for pos, i in enumerate(batch_indices):
+        if core.errors[pos] is None:
+            outcomes[i] = core.result(pos, include_jobs=False)
+        else:
+            reason = f"batch core: {core.errors[pos]}"
             reasons[reason] = reasons.get(reason, 0) + 1
-            outcomes[i] = _scalar_cell(spec)
-        core = _BatchCore(lanes)
-        core.run()
-        for pos, i in enumerate(batch_indices):
-            if core.errors[pos] is None:
-                outcomes[i] = core.result(pos, include_jobs=not slim)
-            else:
-                reason = f"batch core: {core.errors[pos]}"
-                reasons[reason] = reasons.get(reason, 0) + 1
-                outcomes[i] = _scalar_cell(specs[i])
-        final: list[Union[SimulationResult, "RunFailure"]] = []
-        for outcome in outcomes:
-            assert outcome is not None
-            if slim and isinstance(outcome, SimulationResult):
-                outcome = dataclasses.replace(outcome, jobs=())
-            final.append(outcome)
-        return final, reasons
+            outcomes[i] = _execute_captured(specs[i])
+    final = [outcome for outcome in outcomes if outcome is not None]
+    assert len(final) == n
+    return final, reasons
 
 
 def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
@@ -1469,36 +1470,36 @@ def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
     )
 
 
-def _runspec_lane(spec: "RunSpec", slim: bool = True) -> _Lane:
+def _runspec_lane(spec: "RunSpec") -> _Lane:
     """A lane replaying PaperSetup.run's setup exactly (no aet sampling).
 
-    Slim lanes take the array-only job path for all-periodic sets —
-    no ``Job`` objects are created, which is the setup hot spot on big
-    sweeps; such lanes cannot serve ``result(include_jobs=True)``.
+    All-periodic sets take the array-only job path — no ``Job`` objects
+    are created, which is the setup hot spot on big sweeps; such lanes
+    cannot serve ``result(include_jobs=True)``, which sweeps never ask
+    for.
     """
     setup = spec.setup
     taskset = setup.taskset(spec.seed, spec.utilization)
     source = setup.source(spec.seed)
-    if slim:
-        arrays = _periodic_job_arrays(taskset, setup.horizon)
-        if arrays is not None:
-            jrelease, jdeadline, jwork, jtask, task_names = arrays
-            return _assemble_lane(
-                scheduler_name=spec.scheduler_name,
-                scale=setup.scale(),
-                source=source,
-                storage=IdealStorage(capacity=spec.capacity),
-                predictor=setup.predictor(source),
-                horizon=setup.horizon,
-                miss_drop=True,
-                jrelease=jrelease,
-                jdeadline=jdeadline,
-                jwork=jwork,
-                jactual=jwork.copy(),  # rng=None: actual == WCET
-                jtask=jtask,
-                task_names=task_names,
-                jobs=None,
-            )
+    arrays = _periodic_job_arrays(taskset, setup.horizon)
+    if arrays is not None:
+        jrelease, jdeadline, jwork, jtask, task_names = arrays
+        return _assemble_lane(
+            scheduler_name=spec.scheduler_name,
+            scale=setup.scale(),
+            source=source,
+            storage=IdealStorage(capacity=spec.capacity),
+            predictor=setup.predictor(source),
+            horizon=setup.horizon,
+            miss_drop=True,
+            jrelease=jrelease,
+            jdeadline=jdeadline,
+            jwork=jwork,
+            jactual=jwork.copy(),  # rng=None: actual == WCET
+            jtask=jtask,
+            task_names=task_names,
+            jobs=None,
+        )
     return _build_lane(
         scheduler_name=spec.scheduler_name,
         scale=setup.scale(),
@@ -1577,52 +1578,3 @@ def _periodic_job_arrays(
         jtask[perm],
         task_names,
     )
-
-
-def _scalar_cell(
-    spec: "RunSpec",
-) -> Union[SimulationResult, "RunFailure"]:
-    """One scalar sweep cell, errors captured as a RunFailure."""
-    try:
-        return spec.setup.run(
-            spec.scheduler_name,
-            spec.utilization,
-            spec.capacity,
-            spec.seed,
-            spec.energy_sample_interval,
-        )
-    except Exception as exc:
-        return _capture_failure(spec, exc)
-
-
-def _capture_failure(spec: "RunSpec", exc: Exception) -> "RunFailure":
-    import traceback as tb
-
-    from repro.analysis.parallel import RunFailure
-
-    return RunFailure(
-        spec=spec,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        attempts=1,
-        traceback="".join(
-            tb.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-    )
-
-
-_DEFAULT_RUNNER = BatchRunner()
-
-
-def run_scenario_batch(
-    specs: Sequence["ScenarioSpec"], scheduler_name: str
-) -> BatchOutcome:
-    """Module-level shorthand for :meth:`BatchRunner.run_scenarios`."""
-    return _DEFAULT_RUNNER.run_scenarios(specs, scheduler_name)
-
-
-def execute_runspecs(
-    specs: Sequence["RunSpec"], slim: bool = True
-) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
-    """Module-level shorthand for :meth:`BatchRunner.run_specs`."""
-    return _DEFAULT_RUNNER.run_specs(specs, slim=slim)

@@ -3,19 +3,19 @@
 The paired-comparison methodology of the experiments (and the verify
 tier's golden fixtures) rests on one property: the same
 :class:`~repro.analysis.parallel.RunSpec` produces byte-identical
-serialized results no matter *how* it is executed — serially in-process,
-through the :func:`run_parallel` pool, or through the crash-tolerant
-:func:`run_parallel_salvage` path.
+serialized results no matter *how* it is executed — serially
+in-process or pooled through :func:`run_parallel_salvage`, with or
+without retries, and through the supervised sweep path on either
+engine.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.analysis.parallel import (
-    RunSpec,
-    run_parallel,
-    run_parallel_salvage,
-)
+from repro.analysis.parallel import RunSpec, run_parallel_salvage
 from repro.experiments.common import PaperSetup
+from repro.runtime.sweep import run_journaled_sweep
 from repro.serialization import canonical_json, result_to_dict
 
 _SETUP = PaperSetup(horizon=300.0)
@@ -37,33 +37,51 @@ def _fingerprints(results):
     return [canonical_json(result_to_dict(result)) for result in results]
 
 
+def _plain():
+    """Direct ``PaperSetup.run`` calls, slimmed like every sweep result."""
+    return [
+        dataclasses.replace(
+            spec.setup.run(
+                spec.scheduler_name, spec.utilization, spec.capacity,
+                spec.seed,
+            ),
+            jobs=(),
+        )
+        for spec in _SPECS
+    ]
+
+
 class TestSeedDeterminism:
     def test_serial_path_is_repeatable(self):
-        first = _fingerprints(run_parallel(_SPECS, max_workers=1))
-        second = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        first = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
+        second = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         assert first == second
 
     @pytest.mark.slow
     def test_pool_matches_serial(self):
-        serial = _fingerprints(run_parallel(_SPECS, max_workers=1))
-        pooled = _fingerprints(run_parallel(_SPECS, max_workers=2))
+        serial = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
+        pooled = _fingerprints(run_parallel_salvage(_SPECS, max_workers=2))
         assert pooled == serial
 
     def test_salvage_serial_matches_plain(self):
-        plain = _fingerprints(run_parallel(_SPECS, max_workers=1))
         salvaged = run_parallel_salvage(_SPECS, max_workers=1)
         assert all(hasattr(r, "scheduler_name") for r in salvaged)
-        assert _fingerprints(salvaged) == plain
+        assert _fingerprints(salvaged) == _fingerprints(_plain())
 
     @pytest.mark.slow
     def test_salvage_pool_matches_serial(self):
-        serial = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        serial = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         salvaged = run_parallel_salvage(_SPECS, max_workers=2, retries=1)
         assert _fingerprints(salvaged) == serial
 
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_sweep_path_matches_plain(self, engine):
+        report = run_journaled_sweep(_SPECS, max_workers=1, engine=engine)
+        assert _fingerprints(report.outcomes) == _fingerprints(_plain())
+
     def test_distinct_seeds_differ(self):
         """Guards against a fingerprint that ignores the payload."""
-        prints = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        prints = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         assert len(set(prints)) == len(prints)
 
     def test_direct_setup_run_matches_runspec_path(self):
@@ -74,7 +92,7 @@ class TestSeedDeterminism:
             capacity=spec.capacity,
             seed=spec.seed,
         )
-        via_sweep = run_parallel([spec], slim=False)[0]
-        assert canonical_json(result_to_dict(direct)) == canonical_json(
-            result_to_dict(via_sweep)
-        )
+        via_sweep = run_parallel_salvage([spec])[0]
+        assert canonical_json(
+            result_to_dict(dataclasses.replace(direct, jobs=()))
+        ) == canonical_json(result_to_dict(via_sweep))

@@ -1,5 +1,7 @@
 """Unit tests for metric aggregation and the sweep drivers."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.metrics import (
@@ -7,12 +9,15 @@ from repro.analysis.metrics import (
     energy_series,
     miss_rate_by_task,
 )
-from repro.analysis.sweep import run_capacity_sweep, run_replications
+from repro.analysis.sweep import run_replications
 from repro.cpu.presets import xscale_pxa
 from repro.energy.source import ConstantSource, SolarStochasticSource
 from repro.energy.storage import IdealStorage
+from repro.experiments.common import PaperSetup
+from repro.runtime.sweep import journaled_capacity_sweep
 from repro.sched.edf import GreedyEdfScheduler
 from repro.sched.registry import make_scheduler
+from repro.serialization import result_to_dict
 from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
 from repro.sim.tracing import TraceKind
 from repro.tasks.task import PeriodicTask, TaskSet
@@ -103,30 +108,51 @@ class TestReplicationDriver:
 
 
 class TestCapacitySweepDriver:
-    def test_sweep_structure(self):
-        points = run_capacity_sweep(
-            tiny_factory,
-            scheduler_names=("edf", "lsa"),
-            capacities=(5.0, 50.0),
-            seeds=(0, 1),
+    """The sweep grid helper every capacity experiment runs through."""
+
+    SETUP = PaperSetup(horizon=300.0)
+
+    def sweep(self, scheduler_names, capacities, seeds):
+        return journaled_capacity_sweep(
+            scheduler_names,
+            utilization=0.4,
+            capacities=capacities,
+            seeds=seeds,
+            setup=self.SETUP,
+            max_workers=1,
+            engine="scalar",
         )
+
+    def test_sweep_structure(self):
+        points = self.sweep(("edf", "lsa"), (5.0, 50.0), seeds=(0, 1))
         assert len(points) == 2
         assert set(points[0].by_scheduler) == {"edf", "lsa"}
         assert time_eq(points[0].capacity, 5.0)
 
     def test_miss_rate_accessor(self):
-        points = run_capacity_sweep(
-            tiny_factory, ("edf",), (5.0,), seeds=(0,),
-        )
+        points = self.sweep(("edf",), (5.0,), seeds=(0,))
         assert 0.0 <= points[0].miss_rate("edf") <= 1.0
 
     def test_larger_capacity_helps(self):
         """Sanity: a much bigger storage cannot miss more (pooled)."""
-        points = run_capacity_sweep(
-            tiny_factory, ("edf",), (2.0, 500.0), seeds=(0, 1, 2),
-        )
+        points = self.sweep(("edf",), (2.0, 500.0), seeds=(0, 1, 2))
         assert points[1].miss_rate("edf") <= points[0].miss_rate("edf")
+
+    def test_paired_seeds_across_schedulers(self):
+        """Every scheduler at a capacity runs the same seeds, in order."""
+        points = self.sweep(("edf", "lsa"), (50.0,), seeds=(2, 0))
+        for name in ("edf", "lsa"):
+            direct = [
+                result_to_dict(
+                    dataclasses.replace(
+                        self.SETUP.run(name, 0.4, 50.0, seed), jobs=()
+                    )
+                )
+                for seed in (2, 0)
+            ]
+            swept = points[0].by_scheduler[name].results
+            assert [result_to_dict(r) for r in swept] == direct
 
     def test_empty_schedulers_rejected(self):
         with pytest.raises(ValueError):
-            run_capacity_sweep(tiny_factory, (), (5.0,), seeds=(0,))
+            self.sweep((), (5.0,), seeds=(0,))

@@ -13,6 +13,7 @@ from repro.analysis.parallel import (
     run_parallel_salvage,
 )
 from repro.experiments.common import PaperSetup
+from repro.runtime.supervisor import SupervisorPolicy, run_supervised
 from repro.sim.simulator import SimulationResult
 from repro.sim.watchdog import SimulationDiagnostics, WatchdogError
 
@@ -158,9 +159,14 @@ class TestDiagnosticsCapture:
         assert "Traceback (most recent call last)" in failure.traceback
         assert "injected worker crash" in failure.traceback
 
-    def test_watchdog_diagnostics_captured(self):
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_watchdog_diagnostics_captured(self, engine):
         spec = RunSpec("edf", 0.4, 50.0, 0, setup=WatchdogTrippingSetup())
-        failure = run_parallel_salvage([spec], max_workers=1)[0]
+        report = run_supervised(
+            [spec], policy=SupervisorPolicy(retries=0), max_workers=1,
+            engine=engine,
+        )
+        (failure,) = report.outcomes
         assert isinstance(failure, RunFailure)
         assert failure.error_type == "WatchdogError"
         assert failure.diagnostics is not None
@@ -174,6 +180,24 @@ class TestDiagnosticsCapture:
         assert failure.timed_out is True
         assert failure.traceback is None
         assert failure.diagnostics is None
+
+
+class TestBatchEngineRunsSetupOverrides:
+    @pytest.mark.parametrize("setup", [RaisingSetup(), WatchdogTrippingSetup()])
+    def test_overriding_setup_fails_on_batch_engine(self, setup):
+        # The batch lane builder cannot see a run() override, so such a
+        # cell must run scalar (a counted fallback) and fail like it does
+        # on the scalar engine, not succeed as a plain PaperSetup world.
+        spec = RunSpec("edf", 0.4, 50.0, 0, setup=setup)
+        report = run_supervised(
+            [spec], policy=SupervisorPolicy(retries=0), max_workers=1,
+            engine="batch",
+        )
+        assert report.failed == 1
+        assert isinstance(report.outcomes[0], RunFailure)
+        assert report.fallback_reasons == {
+            f"setup {type(setup).__name__} overrides run": 1
+        }
 
 
 class TestDeterministicRetrySchedule:

@@ -78,3 +78,20 @@ class TestResilienceSetup:
             scenarios=("baseline",), scheduler_names=("edf",),
             miss_rates={("baseline", "edf"): math.nan},
         ).failures == ()
+
+
+class TestEngineParity:
+    def test_batch_engine_keeps_the_injected_faults(self, monkeypatch):
+        # ResilienceSetup overrides run() to wrap the source and the task
+        # set; the batch engine must hand those cells to the scalar
+        # engine instead of rebuilding a fault-free lane from the setup.
+        rates = {}
+        for engine in ("scalar", "batch"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            rates[engine] = run_resilience(
+                setup=PaperSetup(horizon=600.0), n_sets=2
+            ).miss_rates
+        assert rates["batch"] == rates["scalar"]
+        assert rates["scalar"][("blackout", "ea-dvfs")] != (
+            rates["scalar"][("baseline", "ea-dvfs")]
+        )

@@ -19,7 +19,6 @@ from repro.runtime.sweep import (
     SweepFailedError,
     journal_from_env,
     journaled_capacity_sweep,
-    journaled_miss_rates,
     run_journaled_sweep,
 )
 from repro.serialization import canonical_json
@@ -56,10 +55,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="quarantine_after"):
             SupervisorPolicy(quarantine_after=0)
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            SupervisorPolicy(batch_size=0)
-
     def test_bad_budgets(self):
         with pytest.raises(ValueError, match="max_wall_clock"):
             SupervisorPolicy(max_wall_clock=0.0)
@@ -89,7 +84,9 @@ class TestSupervisedNoJournal:
         assert "FAILED" in report.format_text()
 
     def test_wall_clock_budget_flushes_partial(self):
-        policy = SupervisorPolicy(max_wall_clock=0.06, batch_size=1)
+        # A budget is checked between batches, so it makes the scalar
+        # engine checkpoint one worker round (here: one cell) at a time.
+        policy = SupervisorPolicy(max_wall_clock=0.06)
         report = run_supervised(
             specs_for(30, setup=SlowSetup()), policy=policy, max_workers=1
         )
@@ -190,13 +187,13 @@ class TestJournaledSweepHelpers:
         report = run_journaled_sweep(specs_for(1), max_workers=1)
         assert report.journal_path is None
 
-    def test_journaled_miss_rates_matches_serial(self, tmp_path):
+    def test_one_capacity_probe_matches_serial(self, tmp_path):
         from repro.analysis.sweep import run_replications
 
-        rates = journaled_miss_rates(
+        (point,) = journaled_capacity_sweep(
             ("edf", "lsa"),
             utilization=0.4,
-            capacity=50.0,
+            capacities=(50.0,),
             seeds=range(2),
             setup=FAST_SETUP,
             journal=ResultJournal(tmp_path / "j.journal"),
@@ -205,7 +202,7 @@ class TestJournaledSweepHelpers:
         factory = FAST_SETUP.factory(0.4)
         for name in ("edf", "lsa"):
             serial = run_replications(factory, name, 50.0, range(2))
-            assert rates[name] == pytest.approx(
+            assert point.miss_rate(name) == pytest.approx(
                 serial.metrics.pooled_miss_rate
             )
 
@@ -227,10 +224,10 @@ class TestJournaledSweepHelpers:
 
     def test_sweep_failed_error_carries_traceback(self, tmp_path):
         with pytest.raises(SweepFailedError, match="injected crash") as info:
-            journaled_miss_rates(
+            journaled_capacity_sweep(
                 ("edf",),
                 utilization=0.4,
-                capacity=50.0,
+                capacities=(50.0,),
                 seeds=range(1),
                 setup=RaisingSetup(),
                 journal=ResultJournal(tmp_path / "j.journal"),
@@ -239,6 +236,69 @@ class TestJournaledSweepHelpers:
         failure = info.value.failures[0]
         assert failure.traceback is not None
         assert "RuntimeError" in failure.traceback
+
+
+class TestOneSweepPath:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("journaled", [False, True])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_every_route_matches_replications(
+        self, tmp_path, engine, journaled, workers
+    ):
+        from repro.analysis.sweep import run_replications
+
+        journal = ResultJournal(tmp_path / "j.journal") if journaled else None
+        try:
+            points = journaled_capacity_sweep(
+                ("lsa", "ea-dvfs"),
+                utilization=0.4,
+                capacities=(25.0, 50.0),
+                seeds=range(2),
+                setup=FAST_SETUP,
+                journal=journal,
+                max_workers=workers,
+                engine=engine,
+            )
+        finally:
+            if journal is not None:
+                journal.close()
+        factory = FAST_SETUP.factory(0.4)
+        for point in points:
+            for name in ("lsa", "ea-dvfs"):
+                reference = run_replications(
+                    factory, name, point.capacity, range(2)
+                )
+                assert point.miss_rate(name) == (
+                    reference.metrics.pooled_miss_rate
+                )
+
+    @pytest.mark.parametrize(
+        "setups, rounds",
+        [((FAST_SETUP,) * 6, 1), ((FAST_SETUP,) * 5 + (RaisingSetup(),), 2)],
+    )
+    def test_one_pool_per_retry_round(self, monkeypatch, setups, rounds):
+        import repro.analysis.parallel as parallel
+
+        pools = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        specs = [
+            RunSpec("edf", 0.4, 50.0, seed, setup=setup)
+            for seed, setup in enumerate(setups)
+        ]
+        report = run_supervised(
+            specs,
+            policy=SupervisorPolicy(retries=1, backoff=0.0),
+            max_workers=2,
+        )
+        assert report.executed == 6
+        assert report.failed == rounds - 1
+        assert len(pools) == rounds
 
 
 class TestSweepReportShape:

@@ -64,7 +64,7 @@ def _grid(setup=ORACLE_SETUP, seeds=2, capacities=(40.0, 150.0)):
 class TestTier1Smoke:
     def test_batch_agrees_with_scalar_on_tiny_sweep(self):
         specs = _grid()
-        outcomes, reasons = execute_runspecs(specs, slim=True)
+        outcomes, reasons = execute_runspecs(specs)
         assert reasons == {}
         for spec, batch_result in zip(specs, outcomes):
             assert isinstance(batch_result, SimulationResult)
@@ -83,7 +83,7 @@ class TestTier1Smoke:
         # counters (1e-9 on energies).
         setup = PaperSetup(horizon=400.0, predictor_kind=kind)
         specs = _grid(setup=setup, seeds=1)
-        outcomes, reasons = execute_runspecs(specs, slim=True)
+        outcomes, reasons = execute_runspecs(specs)
         assert reasons == {}
         for spec, batch_result in zip(specs, outcomes):
             assert isinstance(batch_result, SimulationResult)
@@ -167,14 +167,14 @@ class TestFallbackRouting:
     def test_mixed_batch_counts_fallbacks(self):
         covered = _grid(seeds=1)[0]
         sampled = dataclasses.replace(covered, energy_sample_interval=10.0)
-        outcomes, reasons = execute_runspecs([covered, sampled], slim=True)
+        outcomes, reasons = execute_runspecs([covered, sampled])
         assert len(outcomes) == 2
         assert all(isinstance(o, SimulationResult) for o in outcomes)
         assert sum(reasons.values()) == 1
         assert any("sampling" in reason for reason in reasons)
 
     def test_empty_batch(self):
-        outcomes, reasons = execute_runspecs([], slim=True)
+        outcomes, reasons = execute_runspecs([])
         assert outcomes == []
         assert reasons == {}
 
@@ -193,7 +193,7 @@ class TestFallbackRouting:
         )
 
     def test_slim_lane_refuses_job_results(self):
-        lane = _runspec_lane(_grid(seeds=1)[0], slim=True)
+        lane = _runspec_lane(_grid(seeds=1)[0])
         assert lane.jobs is None  # the array-only fast path was taken
         core = _BatchCore([lane])
         core.run()
