@@ -218,10 +218,11 @@ def profile_segments(
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(bin_index, duration)`` covering ``[t0, t1]`` exactly.
 
-    The cyclic bin walk shared by :meth:`ProfilePredictor._segments` and
-    the batch engine's per-lane predictor kernels
-    (:mod:`repro.energy.vectorized`) — one implementation, so the two
-    engines cannot drift by even an ulp.
+    The cyclic bin walk behind :meth:`ProfilePredictor._segments`, and
+    the reference the batch engine's lane-vectorized walk
+    (:func:`repro.energy.vectorized._batch_walk`) replays step for step
+    — pinned by the ``profile-walk`` parity pair and the differential
+    tests in ``tests/energy/test_vectorized_predictors.py``.
 
     Bin edges come from one global ladder of offsets from ``t0``
     (``(first + j + 1) * bin_width - position``), so each duration is a
@@ -323,8 +324,8 @@ class ProfilePredictor(HarvestPredictor):
     def _segments(self, t0: float, t1: float) -> Iterator[tuple[int, float]]:
         """Yield ``(bin_index, duration)`` covering ``[t0, t1]`` exactly.
 
-        Delegates to the shared :func:`profile_segments` walk (also used
-        by the batch engine's kernels).
+        Delegates to :func:`profile_segments` (the batch engine's kernels
+        replay the same walk lane-vectorized).
         """
         return profile_segments(
             t0, t1, self._period, self._bin_width, self._n_bins

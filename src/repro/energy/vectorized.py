@@ -17,18 +17,25 @@ differs from libm ``pow`` (hence from CPython's ``**``) by one ulp on
 ~5% of inputs (observed on numpy 2.4.6), so the EWMA decay factors go
 through :func:`_libm_pow`, an element-wise libm ``pow``.
 
-The profile kernels do not re-derive the cyclic bin walk at all: they
-run the scalar generator (:func:`repro.energy.predictor
-.profile_segments`) once per participating lane.  The walk is a handful
-of segments per lane and the participating lane sets are small (the
-lanes deciding or moving in one step), so per-lane Python floats beat
-masked small-array numpy by a wide margin — and sharing the scalar
-generator makes bit-equality true by construction rather than by
-argument.
+The profile kernels run the cyclic bin walk of
+:func:`repro.energy.predictor.profile_segments` across lanes at once
+(:func:`_batch_walk`): ladder step ``j`` performs the scalar walk's
+``j``-th iteration element-wise for every lane still walking — the same
+edge formula, the same ``edge > covered`` skip, the same tail snap.
+Step 0 runs for all lanes (most windows end inside their first bin);
+the lanes that go on walk in steps-by-lanes blocks and drop out as their
+walk ends.  A lane yields at most one segment per step, so per-lane
+contributions (predicted-energy sums, EWMA bin updates) land strictly
+left to right, in walk order, exactly like the scalar loops.
+``profile_segments`` is re-exported as the scalar reference walk: the
+differential tests compare against it, and the repository benchmark's
+tracer counts calls to it under this name.
 
-All kernels take *dense* arrays: the caller extracts the lanes that
-participate (e.g. only lanes whose elapsed segment exceeds ``EPSILON``
-get an observe, matching the scalar gate) and scatters results back.
+The kernels take *dense* per-lane arrays: the caller extracts the lanes
+that participate (e.g. only lanes whose elapsed segment exceeds
+``EPSILON`` get an observe, matching the scalar gate).  The profile
+kernels address the caller's full ``(lanes, max_bins)`` bin tables by
+row instead of copying them.
 """
 
 # repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
@@ -36,6 +43,7 @@ get an observe, matching the scalar gate) and scatters results back.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -49,6 +57,7 @@ __all__ = [
     "batch_last_observe",
     "batch_profile_predict",
     "batch_profile_observe",
+    "profile_segments",
 ]
 
 FloatArray = npt.NDArray[np.float64]
@@ -61,11 +70,19 @@ def _libm_pow(base: FloatArray, expo: FloatArray) -> FloatArray:
 
     numpy's vectorized ``np.power`` is *not* (one-ulp SIMD deviations),
     which would leak into the EWMA state and break the doctrine — so the
-    decay factors pay for a per-element libm call instead.  Observe
-    batches are small (one entry per moving lane per step), so this is
-    off the hot path.
+    decay factors pay for one ``math.pow`` call per element.  This sits
+    on the profile observe hot path (every ladder step of every moving
+    lane), so the calls run as ``map`` over plain floats into
+    ``np.fromiter``, which measured about a third faster than an object
+    ufunc (``np.frompyfunc``) or a list comprehension at 300-900
+    elements.
     """
-    return np.array([math.pow(b, e) for b, e in zip(base.tolist(), expo.tolist())])
+    result: FloatArray = np.fromiter(
+        map(math.pow, base.tolist(), expo.tolist()),
+        np.float64,
+        count=base.shape[0],
+    )
+    return result
 
 
 def batch_span_predict(estimate: FloatArray, t0: FloatArray, t1: FloatArray) -> FloatArray:
@@ -120,23 +137,108 @@ def _batch_snap_tail(covered: FloatArray, span: FloatArray) -> FloatArray:
     return d
 
 
-def _first_bin_edge(
+#: Most ladder steps materialised per walk block; bounds the memory of
+#: windows that span many periods.
+_MAX_BLOCK = 64
+
+
+def _batch_walk(
     t0: FloatArray,
+    span: FloatArray,
     period: FloatArray,
     bin_width: FloatArray,
     n_bins: IntArray,
-) -> tuple[IntArray, FloatArray, FloatArray]:
-    """Each lane's starting bin, first ladder edge, and cycle position.
+) -> Iterator[tuple[IntArray, IntArray, FloatArray, BoolArray]]:
+    """:func:`profile_segments` for many lanes, as blocks of ladder steps.
 
-    The same floats the scalar walk computes at its first step
-    (``j = 0``): ``np.mod`` matches ``%``, truncation matches ``int()``
-    and int64→float64 conversion is exact at these magnitudes — all
-    pinned by ``TestNumpyAccumulationContract``.
+    Yields ``(at, index, duration, emit)``: ``at`` are the positions
+    (into the input arrays) of the lanes still walking, and row ``r`` of
+    the ``(steps, len(at))`` matrices is their ladder step ``j0 + r``,
+    where ``j0`` counts the steps of earlier blocks.  ``emit`` marks the
+    steps that yield a segment, with its bin in ``index`` and its length
+    in ``duration``; a lane's segments in row order are exactly the
+    scalar walk's, in the scalar's order.
+
+    Step ``j`` repeats the scalar walk's ``j``-th iteration element-wise:
+    ``edge = (first + j + 1) * bin_width - position``; the step whose
+    edge first reaches ``span`` yields the tail snapped with
+    :func:`_batch_snap_tail`; earlier steps yield ``edge - covered``
+    when ``edge > covered``, and ``covered`` accumulates the yielded
+    durations left to right (one row at a time, since each update
+    rounds).  Lanes whose window is no longer than ``EPSILON`` yield
+    nothing; lanes whose walk ended drop out of later blocks.
     """
+    # The scalar j = 0 prelude: np.mod matches %, truncation matches
+    # int(), int64->float64 conversion is exact at these magnitudes (all
+    # pinned by TestNumpyAccumulationContract).
+    live = span > EPSILON
     position = np.mod(t0, period)
     first = np.minimum((position / bin_width).astype(np.int64), n_bins - 1)
+    # Step 0 for every lane at once: most windows end inside their first
+    # bin.  Its bin is ``first`` itself (already in range, so ``%
+    # n_bins`` is the identity); a walk ending here yields the whole
+    # span, which is what ``_snap_tail(0.0, span)`` returns (``0.0 +
+    # span == span``); any other lane yields ``edge - 0.0 == edge`` when
+    # ``edge > 0.0``.
     edge = (first + 1).astype(np.float64) * bin_width - position
-    return first, edge, position
+    final = edge >= span
+    step = edge > 0.0
+    at = np.arange(t0.shape[0])
+    yield (
+        at,
+        first[None, :],
+        np.where(final, span, edge)[None, :],
+        (live & (final | step))[None, :],
+    )
+    at = np.flatnonzero(live & ~final)
+    if at.shape[0] == 0:
+        return
+    # covered = 0.0 + edge where step 0 yielded, else still 0.0.
+    covered = np.where(step, edge, 0.0)[at]
+    span = span[at]
+    bin_width = bin_width[at]
+    n_bins = n_bins[at]
+    position = position[at]
+    first = first[at]
+    # Block heights come from each lane's real-valued step count; an
+    # estimate rounded short only costs one more block.
+    reach = (span + position) / bin_width - first.astype(np.float64)
+    j0 = 1
+    while at.shape[0]:
+        height = min(max(int(reach.max()) + 1 - j0, 1), _MAX_BLOCK)
+        ladder = np.arange(j0 + 1, j0 + height + 1)[:, None] + first
+        edge = ladder.astype(np.float64) * bin_width - position
+        # The ladder grows with j, so each lane's steps before its final
+        # one (edge >= span) form a prefix of the block.
+        walking = edge < span
+        last = walking.sum(axis=0)
+        before = np.empty_like(edge)
+        for j in range(height):
+            before[j] = covered
+            e = edge[j]
+            d = e - covered
+            covered = np.where(walking[j] & (e > covered), covered + d, covered)
+        duration = edge - before
+        emit = walking & (edge > before)
+        done = np.flatnonzero(last < height)
+        if done.shape[0]:
+            tail = _batch_snap_tail(covered[done], span[done])
+            duration[last[done], done] = tail
+            emit[last[done], done] = tail > 0.0
+        yield at, np.mod(ladder - 1, n_bins), duration, emit
+        if done.shape[0] == at.shape[0]:
+            return
+        if done.shape[0]:
+            keep = np.flatnonzero(last == height)
+            at = at[keep]
+            span = span[keep]
+            bin_width = bin_width[keep]
+            n_bins = n_bins[keep]
+            position = position[keep]
+            first = first[keep]
+            covered = covered[keep]
+            reach = reach[keep]
+        j0 += height
 
 
 def batch_profile_predict(
@@ -146,59 +248,26 @@ def batch_profile_predict(
     bin_width: FloatArray,
     n_bins: IntArray,
     estimates: FloatArray,
+    rows: IntArray,
 ) -> FloatArray:
     """Element-wise :meth:`ProfilePredictor.predict_energy`.
 
-    ``estimates`` is ``(lanes, max_bins)``.  Windows that fit inside one
-    bin (the scalar walk terminates at its first step, and the tail snap
-    is the identity because nothing is covered yet) take a fully
-    vectorized path: ``estimate[first] * span``, the same single product
-    the scalar sum performs.  Windows crossing a bin edge run the scalar
-    segment walk per lane and accumulate contributions left to right —
-    the exact float sum the scalar predictor computes.
+    ``estimates`` is the caller's full ``(lanes, max_bins)`` bin table
+    and ``rows`` maps each input lane to its row in it.  Each lane's
+    total is the left-to-right float sum of ``estimate[bin] * duration``
+    over its walk segments — the scalar predictor's sum: ``np.cumsum``
+    accumulates strictly in step order, seeded with the running total
+    so block boundaries do not regroup the sum, and masked steps add
+    ``+0.0``, which never perturbs it.  Windows no longer than
+    ``EPSILON`` predict ``0.0``.
     """
-    span = t1 - t0
     total = np.zeros(t0.shape[0])
-    live = span > EPSILON
-    if not live.any():
-        return total
-    first, edge, position = _first_bin_edge(t0, period, bin_width, n_bins)
-    single = live & (edge >= span)
-    rows = np.flatnonzero(single)
-    if rows.size:
-        total[rows] = estimates[rows, first[rows]] * span[rows]
-    # Two-segment windows (crossing exactly one bin edge) stay
-    # vectorized: the scalar walk yields (first, edge) then the snapped
-    # tail in the next bin, and its left-to-right sum is the same two
-    # products and one addition performed element-wise here.  The
-    # ``edge > 0`` guard mirrors the walk's ``edge > covered`` mid-step
-    # condition (a clamped first bin can start with a non-positive
-    # ladder edge, which the scalar walk skips without yielding).
-    edge2 = (first + 2).astype(np.float64) * bin_width - position
-    double = live & ~single & (edge > 0.0) & (edge2 >= span)
-    rows = np.flatnonzero(double)
-    if rows.size:
-        tail = _batch_snap_tail(edge[rows], span[rows])
-        second = np.mod(first[rows] + 1, n_bins[rows])
-        total[rows] = (
-            estimates[rows, first[rows]] * edge[rows]
-            + estimates[rows, second] * tail
-        )
-    multi = np.flatnonzero(live & ~single & ~double)
-    if multi.size:
-        t0s = t0.tolist()
-        t1s = t1.tolist()
-        periods = period.tolist()
-        widths = bin_width.tolist()
-        bins = n_bins.tolist()
-        for i in multi.tolist():
-            row = estimates[i]
-            acc = 0.0
-            for index, d in profile_segments(
-                t0s[i], t1s[i], periods[i], widths[i], bins[i]
-            ):
-                acc += float(row[index]) * d
-            total[i] = acc
+    for at, index, d, emit in _batch_walk(
+        t0, t1 - t0, period, bin_width, n_bins
+    ):
+        terms = np.where(emit, estimates[rows[at], index] * d, 0.0)
+        running = np.concatenate([total[at][None, :], terms])
+        total[at] = np.cumsum(running, axis=0)[-1]
     return total
 
 
@@ -212,55 +281,33 @@ def batch_profile_observe(
     energy: FloatArray,
     estimates: FloatArray,
     seen: BoolArray,
+    rows: IntArray,
 ) -> None:
-    """Element-wise :meth:`ProfilePredictor.observe` (mutates in place).
+    """Element-wise :meth:`ProfilePredictor.observe`, updating in place.
 
-    ``estimates``/``seen`` are ``(lanes, max_bins)`` and are updated for
-    the given lanes.  Callers must pre-filter to ``t1 - t0 > EPSILON``
-    (the scalar gate).  Single-bin windows (the overwhelming case: one
-    simulation segment is usually far shorter than a profile bin) take
-    the vectorized path — for them the scalar walk terminates at its
-    first step with the full span as the (snap-exact) tail, so the
-    update is one EWMA step per lane with a libm decay factor.  Windows
-    crossing a bin edge run the scalar segment walk per lane, so
-    repeated visits to the same bin within one window (spans longer
-    than the period) apply their EWMA updates in walk order, exactly
-    like the scalar loop — including the scalar's ``**`` for the decay
-    factor.
+    ``estimates``/``seen`` are the caller's full ``(lanes, max_bins)``
+    bin tables, written in place at the rows ``rows`` names for the
+    input lanes.  Callers must pre-filter to ``t1 - t0 > EPSILON`` (the
+    scalar gate).  Every walk segment applies one duration-correct EWMA
+    step (or the first-sight overwrite) with a libm decay factor.  The
+    updates run one ladder step at a time, and a lane has at most one
+    segment per step, so repeated visits to the same bin within one
+    window (spans longer than the period) apply their updates in walk
+    order, exactly like the scalar loop.
     """
     duration = t1 - t0
     mean_power = np.maximum(0.0, energy / duration)
-    first, edge, _ = _first_bin_edge(t0, period, bin_width, n_bins)
-    single = edge >= duration
-    rows = np.flatnonzero(single)
-    if rows.size:
-        idx = first[rows]
-        keep = _libm_pow(1.0 - alpha[rows], duration[rows] / bin_width[rows])
-        prior = estimates[rows, idx]
-        ewma = keep * prior + (1.0 - keep) * mean_power[rows]
-        estimates[rows, idx] = np.where(seen[rows, idx], ewma, mean_power[rows])
-        seen[rows, idx] = True
-    multi = np.flatnonzero(~single)
-    if multi.size:
-        t0s = t0.tolist()
-        t1s = t1.tolist()
-        periods = period.tolist()
-        widths = bin_width.tolist()
-        bins = n_bins.tolist()
-        alphas = alpha.tolist()
-        powers = mean_power.tolist()
-        for i in multi.tolist():
-            power = powers[i]
-            keep_base = 1.0 - alphas[i]
-            width = widths[i]
-            row = estimates[i]
-            seen_row = seen[i]
-            for index, d in profile_segments(
-                t0s[i], t1s[i], periods[i], width, bins[i]
-            ):
-                if seen_row[index]:
-                    keep = keep_base ** (d / width)
-                    row[index] = keep * float(row[index]) + (1.0 - keep) * power
-                else:
-                    row[index] = power
-                seen_row[index] = True
+    keep_base = 1.0 - alpha
+    for at, index, d, emit in _batch_walk(
+        t0, duration, period, bin_width, n_bins
+    ):
+        for j in range(emit.shape[0]):
+            hit = np.flatnonzero(emit[j])
+            lane = at[hit]
+            row = rows[lane]
+            bin_ = index[j, hit]
+            power = mean_power[lane]
+            keep = _libm_pow(keep_base[lane], d[j, hit] / bin_width[lane])
+            ewma = keep * estimates[row, bin_] + (1.0 - keep) * power
+            estimates[row, bin_] = np.where(seen[row, bin_], ewma, power)
+            seen[row, bin_] = True

@@ -143,6 +143,11 @@ PAIRS: tuple[ParityPair, ...] = (
         ),
     ),
     ParityPair(
+        name="profile-walk",
+        scalar=FunctionRef("repro/energy/predictor.py", "profile_segments"),
+        batch=FunctionRef("repro/energy/vectorized.py", "_batch_walk"),
+    ),
+    ParityPair(
         name="profile-predict",
         scalar=FunctionRef(
             "repro/energy/predictor.py", "ProfilePredictor.predict_energy"
@@ -209,6 +214,7 @@ _CALL_TOKENS: dict[str, str] = {
     "float_power": "pow[simd]",
     "sqrt": "sqrt",
     "nextafter": "nextafter",
+    "mod": "mod",
     "fmod": "mod",
     "remainder": "mod",
     "isinf": "isinf",
@@ -513,6 +519,71 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'select',
         ),
     },
+    'profile-walk': {
+        'scalar': (
+            'sub',
+            'le',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'add',
+            'mod',
+            'ge',
+            'gt',
+            'gt',
+            'sub',
+            'add',
+            'add',
+        ),
+        'batch': (
+            'gt',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'mul',
+            'sub',
+            'ge',
+            'gt',
+            'select',
+            'eq',
+            'select',
+            'add',
+            'div',
+            'sub',
+            'max',
+            'add',
+            'sub',
+            'max',
+            'min',
+            'add',
+            'add',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'lt',
+            'sub',
+            'gt',
+            'add',
+            'select',
+            'sub',
+            'gt',
+            'lt',
+            'gt',
+            'sub',
+            'mod',
+            'eq',
+            'eq',
+            'add',
+        ),
+    },
     'profile-predict': {
         'scalar': (
             'sub',
@@ -521,20 +592,10 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
         ),
         'batch': (
             'sub',
-            'gt',
-            'ge',
             'mul',
-            'add',
-            'mul',
-            'sub',
-            'gt',
-            'ge',
-            'add',
-            'mul',
-            'mul',
-            'add',
-            'mul',
-            'add',
+            'select',
+            'cumsum',
+            'neg',
         ),
     },
     'profile-observe': {
@@ -555,7 +616,6 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'sub',
             'div',
             'max',
-            'ge',
             'sub',
             'div',
             'pow',
@@ -564,13 +624,6 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'mul',
             'add',
             'select',
-            'sub',
-            'div',
-            'pow',
-            'mul',
-            'sub',
-            'mul',
-            'add',
         ),
     },
 }

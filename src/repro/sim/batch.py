@@ -117,6 +117,10 @@ _PENDING, _READY, _COMPLETED, _MISSED = range(4)
 #: Rank sentinel for "no ready job" (larger than any real rank).
 _NO_JOB = np.iinfo(np.int64).max
 
+#: Event-table columns one due-event pass examines per lane.
+_DUE_WINDOW = 16
+_DUE_STEPS = np.arange(_DUE_WINDOW, dtype=np.int64)
+
 
 @dataclass
 class _SourceParams:
@@ -616,20 +620,26 @@ class _BatchCore:
         self.jfirst = np.full((n, max_jobs), np.nan)
         self.jcompletion = np.full((n, max_jobs), np.nan)
         self.harvested = np.zeros(n)
+        # Live-lane compaction: every array above is lane-major.  The
+        # phases run on the lanes still active; _compact drops finished
+        # and failed lanes (parking their rows in these full-width
+        # arrays) and run() scatters the survivors back at the end.
+        # ``lane_ids`` maps a working row to its lane.
+        self._full = {
+            name: value
+            for name, value in vars(self).items()
+            if isinstance(value, np.ndarray) and name not in ("idx", "_inf")
+        }
+        self.lane_ids = np.arange(n)
 
     # -- ready-queue maintenance (EdfReadyQueue, incremental) -------------
 
-    def _ready_push(self, lanes: IntArray, jobs: IntArray) -> None:
-        """ready.push: record the rank and update the per-lane minimum."""
-        ranks = self.jrank[lanes, jobs]
-        self.jready_rank[lanes, jobs] = ranks
-        better = ranks < self.best_rank[lanes]
-        improved = lanes[better]
-        self.best_rank[improved] = ranks[better]
-        self.best_job[improved] = jobs[better]
-
     def _ready_remove(self, lanes: IntArray, jobs: IntArray) -> None:
-        """ready.remove: rescan only the lanes that lost their minimum."""
+        """ready.remove: rescan only the lanes that lost their minimum.
+
+        A lane may remove several jobs at once; at most one of them is
+        its minimum, and the rescan sees all the removals.
+        """
         self.jready_rank[lanes, jobs] = _NO_JOB
         was_best = self.best_job[lanes] == jobs
         rescan = lanes[was_best]
@@ -643,7 +653,7 @@ class _BatchCore:
     # -- failure handling -------------------------------------------------
 
     def _fail(self, lanes: IntArray, message: str) -> None:
-        for i in lanes.tolist():
+        for i in self.lane_ids[lanes].tolist():
             if self.errors[i] is None:
                 self.errors[i] = message
         self.active[lanes] = False
@@ -656,52 +666,40 @@ class _BatchCore:
         index: IntArray = np.maximum(0, raw.astype(np.int64))
         return index
 
-    def _src_power(self, t: FloatArray) -> FloatArray:
-        out = self._power_base.copy()
+    def _src_at(self, t: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Source power at ``t`` and the next source boundary after it."""
+        power = self._power_base.copy()
+        boundary = self._inf.copy()
         if self._has_quant:
             quant = self._quant_mask
             index = self._quant_index(t)
+            boundary = np.where(
+                quant, (index + 1).astype(np.float64) * self.src_quantum, boundary
+            )
             over = quant & self.active & (index >= self.src_nq)
             if over.any():
                 self._fail(np.flatnonzero(over), "solar power table exceeded")
                 quant = quant & ~over
             safe = np.minimum(index, self.src_qpowers.shape[1] - 1)
-            out = np.where(quant, self.src_qpowers[self.idx, safe], out)
-        if self._has_day:
-            position = np.mod(t + self.src_phase + EPSILON, self.src_cycle)
-            out = np.where(
-                self._day_mask,
-                np.where(
-                    position < self.src_day_length,
-                    self.src_day_power,
-                    self.src_night_power,
-                ),
-                out,
-            )
-        return out
-
-    def _src_next_boundary(self, t: FloatArray) -> FloatArray:
-        out = self._inf.copy()
-        if self._has_quant:
-            index = self._quant_index(t)
-            out = np.where(
-                self._quant_mask,
-                (index + 1).astype(np.float64) * self.src_quantum,
-                out,
-            )
+            power = np.where(quant, self.src_qpowers[self.idx, safe], power)
         if self._has_day:
             position = np.mod(t + self.src_phase + EPSILON, self.src_cycle)
             in_day = position < self.src_day_length
-            out = np.where(
+            power = np.where(
+                self._day_mask,
+                np.where(in_day, self.src_day_power, self.src_night_power),
+                power,
+            )
+            boundary = np.where(
                 self._day_mask,
                 np.where(
                     in_day,
                     t + (self.src_day_length - position),
                     t + (self.src_cycle - position),
                 ),
-                out,
+                boundary,
             )
-        return out
+        return power, boundary
 
     def _src_energy_lanes(
         self, lanes: IntArray, t0: FloatArray, t1: FloatArray
@@ -820,12 +818,62 @@ class _BatchCore:
         self.has_decision[lanes] = False
         self.dec_reconsider[lanes] = INFINITY
 
+    # -- live-lane compaction ----------------------------------------------
+
+    def _resize(self, n: int) -> None:
+        self.n = n
+        self.idx = np.arange(n)
+        self._inf = np.full(n, INFINITY)
+
+    def _settle(self, rows: IntArray) -> None:
+        """harvested_energy = source.energy(0, horizon) for the rows whose
+        lane finished cleanly (same walk as the scalar result builder).
+
+        Run on each batch of rows as it leaves the working set, so the
+        walk's temporaries never span every lane at once.
+        """
+        clean = rows[
+            np.asarray(
+                [self.errors[i] is None for i in self.lane_ids[rows].tolist()],
+                dtype=np.bool_,
+            )
+        ]
+        self.harvested[clean] = self._src_energy_lanes(
+            clean, np.zeros(clean.shape[0]), self.horizon[clean]
+        )
+
+    def _compact(self) -> IntArray:
+        """Drop inactive rows from every lane-major array; returns kept rows."""
+        keep = np.flatnonzero(self.active)
+        gone = np.flatnonzero(~self.active)
+        self._settle(gone)
+        parked = self.lane_ids[gone]
+        for name, full in self._full.items():
+            rows = getattr(self, name)
+            full[parked] = rows[gone]
+            setattr(self, name, rows[keep])
+        self.lane_ids = self.lane_ids[keep]
+        self._resize(keep.shape[0])
+        return keep
+
+    def _expand(self) -> None:
+        """Undo _compact: every lane back in its own row."""
+        for name, full in self._full.items():
+            full[self.lane_ids] = getattr(self, name)
+            setattr(self, name, full)
+        self.lane_ids = np.arange(len(self.lanes))
+        self._resize(len(self.lanes))
+
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
         if self.n == 0:
             return
         iterations = 0
+        # Source power and next boundary at the current t: _post_segment
+        # computes them after the advance, and t does not move again
+        # before the next iteration's _segment_end, which reuses them.
+        src: Optional[tuple[FloatArray, FloatArray]] = None
         while self.active.any():
             iterations += 1
             if iterations > self.MAX_ITERATIONS:  # pragma: no cover - guard
@@ -835,69 +883,90 @@ class _BatchCore:
             done = self.active & (self.t >= self.horizon - EPSILON)
             if done.any():
                 self.active &= ~done
-                if not self.active.any():
+                live = np.count_nonzero(self.active)
+                if live == 0:
                     break
+                if 2 * live <= self.n:
+                    keep = self._compact()
+                    if src is not None:
+                        src = (src[0][keep], src[1][keep])
             self._maybe_decide()
-            end, harvest, draw = self._segment_end()
+            end, harvest, draw = self._segment_end(src)
             duration = self._advance_to(end, harvest, draw)
-            self._post_segment()
+            src = self._post_segment()
             advanced = duration > EPSILON
             self.stagnant = np.where(advanced, 0, self.stagnant + 1)
             stuck = self.active & (self.stagnant > 1000)
             if stuck.any():
                 self._fail(np.flatnonzero(stuck), "stagnation guard")
-        # harvested_energy = source.energy(0, horizon) for every lane that
-        # finished cleanly (same walk as the scalar result builder).
-        finished = np.flatnonzero(
-            np.asarray([err is None for err in self.errors], dtype=np.bool_)
-        )
-        self.harvested = np.zeros(self.n)
-        self.harvested[finished] = self._src_energy_lanes(
-            finished, np.zeros(finished.shape[0]), self.horizon[finished]
-        )
+        self._settle(self.idx)
+        self._expand()
 
     def _process_due_events(self) -> None:
-        """Simulator._process_due_events: pop while peek <= t + EPSILON."""
-        while True:
-            due = self.active & (self.next_ev <= self.t + EPSILON)
-            if not due.any():
-                return
-            due_lanes = np.flatnonzero(due)
-            ptr = self.ev_ptr[due_lanes]
-            job = self.ev_job[due_lanes, ptr]
-            is_dl = self.ev_is_deadline[due_lanes, ptr]
-            lanes = due_lanes[~is_dl]
-            if lanes.shape[0]:
-                jj = job[~is_dl]
-                self.jstate[lanes, jj] = _READY  # mark_released
-                self._ready_push(lanes, jj)
-                self.need_decision[lanes] = True
-            lanes = due_lanes[is_dl]
-            if lanes.shape[0]:
-                jj = job[is_dl]
-                state = self.jstate[lanes, jj]
+        """Simulator._process_due_events: pop while peek <= t + EPSILON.
+
+        Every due event of every lane is handled in one pass over a
+        ``(due lanes, _DUE_WINDOW)`` window of the presorted event
+        table (a lane with a full window gets another pass).  Events of
+        different jobs commute, so the pass handles all releases, then
+        all deadlines — for any one job that is heap order, since its
+        release strictly precedes its deadline.  Releases are scatter
+        writes with a ``np.minimum.at`` ready-queue minimum; only lanes
+        whose best job missed are rescanned.
+        """
+        lanes = np.flatnonzero(self.active & (self.next_ev <= self.t + EPSILON))
+        last_col = self.ev_time.shape[1] - 1
+        while lanes.shape[0]:
+            ptr = self.ev_ptr[lanes]
+            cols = np.minimum(ptr[:, None] + _DUE_STEPS, last_col)
+            due = self.ev_time[lanes[:, None], cols] <= (
+                self.t[lanes] + EPSILON
+            )[:, None]
+            count = np.count_nonzero(due, axis=1)
+            row, step = np.nonzero(due)
+            ev_lane = lanes[row]
+            ev_col = cols[row, step]
+            job = self.ev_job[ev_lane, ev_col]
+            is_dl = self.ev_is_deadline[ev_lane, ev_col]
+            release = ~is_dl
+            if release.any():
+                rl = ev_lane[release]
+                rj = job[release]
+                self.jstate[rl, rj] = _READY  # mark_released
+                # ready.push
+                ranks = self.jrank[rl, rj]
+                self.jready_rank[rl, rj] = ranks
+                np.minimum.at(self.best_rank, rl, ranks)
+                pushed = ranks == self.best_rank[rl]
+                self.best_job[rl[pushed]] = rj[pushed]
+                self.need_decision[rl] = True
+            if is_dl.any():
+                dl = ev_lane[is_dl]
+                dj = job[is_dl]
+                state = self.jstate[dl, dj]
                 # _on_deadline: skip finished or already-counted jobs
                 judged = (
                     (state != _COMPLETED)
                     & (state != _MISSED)
-                    & ~self.jmiss_counted[lanes, jj]
+                    & ~self.jmiss_counted[dl, dj]
                 )
-                lanes = lanes[judged]
-                jj = jj[judged]
-                self.jmiss_counted[lanes, jj] = True
-                self.missed_count[lanes] += 1
-                drop = self.miss_drop[lanes]
-                dl_lanes = lanes[drop]
-                dl_jobs = jj[drop]
-                self.jstate[dl_lanes, dl_jobs] = _MISSED  # mark_missed
-                self._ready_remove(dl_lanes, dl_jobs)
-                was_running = self.running[dl_lanes] == dl_jobs
-                self._clear_plan(dl_lanes[was_running])
-                self.need_decision[dl_lanes] = True
+                dl = dl[judged]
+                dj = dj[judged]
+                self.jmiss_counted[dl, dj] = True
+                np.add.at(self.missed_count, dl, 1)
+                drop = self.miss_drop[dl]
+                dl = dl[drop]
+                dj = dj[drop]
+                self.jstate[dl, dj] = _MISSED  # mark_missed
+                self._ready_remove(dl, dj)
+                was_running = self.running[dl] == dj
+                self._clear_plan(dl[was_running])
+                self.need_decision[dl] = True
                 # CONTINUE: only the count changes.
-            moved = ptr + 1
-            self.ev_ptr[due_lanes] = moved
-            self.next_ev[due_lanes] = self.ev_time[due_lanes, moved]
+            moved = ptr + count
+            self.ev_ptr[lanes] = moved
+            self.next_ev[lanes] = self.ev_time[lanes, moved]
+            lanes = lanes[count == _DUE_WINDOW]
 
     def _maybe_decide(self) -> None:
         """Simulator._maybe_decide + scheduler.decide + _apply_decision."""
@@ -952,7 +1021,8 @@ class _BatchCore:
                     self.pred_period[pl],
                     self.pred_bw[pl],
                     self.pred_nbins[pl],
-                    self.pred_bin_est[pl],
+                    self.pred_bin_est,
+                    pl,
                 )
         available = np.where(deadline_passed, stored, stored + predicted)
         storage_full = stored >= self.capacity[lanes] - EPSILON  # is_full
@@ -1003,17 +1073,21 @@ class _BatchCore:
         self.has_decision[lanes] = True
         self.dec_reconsider[lanes] = reconsider[lanes]
 
-    def _segment_end(self) -> tuple[FloatArray, FloatArray, FloatArray]:
+    def _segment_end(
+        self, src: Optional[tuple[FloatArray, FloatArray]]
+    ) -> tuple[FloatArray, FloatArray, FloatArray]:
         """Simulator._segment_end, element-wise (same min-cascade order).
 
         The cascade uses masked in-place ``np.minimum(..., where=...)``
         updates — each candidate still enters the running minimum with a
         single rounding-free comparison, exactly like the scalar chain
-        of ``min()`` calls, just with fewer temporaries.
+        of ``min()`` calls, just with fewer temporaries.  ``src`` is
+        :meth:`_src_at` of ``t`` when the caller already has it.
         """
         t = self.t
+        harvest, boundary = self._src_at(t) if src is None else src
         end = np.minimum(self.horizon, self.next_ev)
-        np.minimum(end, self._src_next_boundary(t), out=end)
+        np.minimum(end, boundary, out=end)
         running = self.running >= 0
         level = np.maximum(self.level, 0)
         job = np.maximum(self.running, 0)
@@ -1028,7 +1102,6 @@ class _BatchCore:
         planned = running & ~np.isnan(self.switch_at)
         np.minimum(end, self.switch_at, out=end, where=planned)
         np.minimum(end, self.dec_reconsider, out=end, where=running)
-        harvest = self._src_power(t)
         draw = np.where(running, self.powers[self.idx, level], 0.0)
         # storage.time_to_empty(harvest, draw): infinite unless the net
         # rate is below -EPSILON (the masked divide leaves +inf there).
@@ -1100,8 +1173,6 @@ class _BatchCore:
                     prof_m = okind == _PRED_PROFILE
                     if prof_m.any():
                         pl = ol[prof_m]
-                        sub_est = self.pred_bin_est[pl]
-                        sub_seen = self.pred_bin_seen[pl]
                         batch_profile_observe(
                             self.t[pl],
                             end[pl],
@@ -1110,11 +1181,10 @@ class _BatchCore:
                             self.pred_nbins[pl],
                             self.pred_alpha[pl],
                             oenergy[prof_m],
-                            sub_est,
-                            sub_seen,
+                            self.pred_bin_est,
+                            self.pred_bin_seen,
+                            pl,
                         )
-                        self.pred_bin_est[pl] = sub_est
-                        self.pred_bin_seen[pl] = sub_seen
             # Processor.account_time
             running = self.running[lanes] >= 0
             busy_lanes = lanes[running]
@@ -1147,10 +1217,15 @@ class _BatchCore:
             self.t = np.where(moving, end, self.t)
         return duration
 
-    def _post_segment(self) -> None:
-        """Simulator._post_segment: the cascade of masked early returns."""
+    def _post_segment(self) -> tuple[FloatArray, FloatArray]:
+        """Simulator._post_segment: the cascade of masked early returns.
+
+        Returns :meth:`_src_at` of the new ``t`` (the next
+        ``_segment_end`` reuses it).
+        """
         t = self.t
-        harvest = self._src_power(t)
+        src = self._src_at(t)
+        harvest, boundary = src
         # stall expiry
         expired = (
             self.active
@@ -1190,7 +1265,7 @@ class _BatchCore:
                 # _enter_stall: retry at the next source boundary or after
                 # the (default 1.0) retry interval, whichever is sooner.
                 resume = np.minimum(
-                    self._src_next_boundary(t)[stall_lanes],
+                    boundary[stall_lanes],
                     t[stall_lanes] + 1.0,
                 )
                 self.stall_count[stall_lanes] += 1
@@ -1227,6 +1302,7 @@ class _BatchCore:
             ready = self.best_rank[lanes] < _NO_JOB
             wake = ready & ~self.stalled[lanes]
             self.need_decision[lanes[wake]] = True
+        return src
 
     # -- result extraction -------------------------------------------------
 

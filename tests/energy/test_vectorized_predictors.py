@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.energy.predictor import (
@@ -23,6 +23,7 @@ from repro.energy.predictor import (
     profile_segments,
 )
 from repro.energy.vectorized import (
+    _batch_walk,
     _libm_pow,
     batch_last_observe,
     batch_mean_observe,
@@ -184,8 +185,6 @@ class _ProfileLanes:
         obs = a1 - a0 > EPSILON  # the batch caller's pre-filter
         if obs.any():
             rows = np.flatnonzero(obs)
-            sub_est = self.estimates[rows]
-            sub_seen = self.seen[rows]
             batch_profile_observe(
                 a0[rows],
                 a1[rows],
@@ -194,11 +193,10 @@ class _ProfileLanes:
                 self.n_bins[rows],
                 self.alpha[rows],
                 np.full(n, energy)[rows],
-                sub_est,
-                sub_seen,
+                self.estimates,
+                self.seen,
+                rows,
             )
-            self.estimates[rows] = sub_est
-            self.seen[rows] = sub_seen
 
     def assert_state_bit_equal(self) -> None:
         for i, p in enumerate(self.scalars):
@@ -217,6 +215,7 @@ class _ProfileLanes:
             self.bin_width,
             self.n_bins,
             self.estimates,
+            np.arange(n),
         )
         for i, p in enumerate(self.scalars):
             assert predicted[i] == p.predict_energy(t0, t1)
@@ -253,20 +252,130 @@ class TestProfileKernels:
         n_bins = np.asarray([4, 4], dtype=np.int64)
         estimates = np.full((2, 4), 3.0)
         out = batch_profile_predict(
-            t0, t1, period, bin_width, n_bins, estimates
+            t0, t1, period, bin_width, n_bins, estimates, np.arange(2)
         )
         assert out.tolist() == [0.0, 0.0]
 
-    def test_kernels_share_the_scalar_walk(self):
-        # The kernels run repro.energy.predictor.profile_segments per
-        # lane — one walk implementation, so the engines cannot drift.
-        # Spot-check the shared generator against the bound method.
-        p = ProfilePredictor(period=37.0, n_bins=8)
-        method = list(p._segments(1.3, 55.9))
-        shared = list(
-            profile_segments(1.3, 55.9, p.period, p.bin_width, p.n_bins)
+
+def _nudged_start(t0, nudge, period, bin_width):
+    """``t0`` moved onto a bin edge, then ``nudge`` ulps off it.
+
+    ``nudge=None`` keeps ``t0`` where it is.
+    """
+    if nudge is None:
+        return t0
+    edge = math.floor((t0 % period) / bin_width) * bin_width
+    base = (t0 // period) * period + edge
+    for _ in range(abs(nudge)):
+        base = math.nextafter(base, math.inf if nudge > 0 else -math.inf)
+    return max(0.0, base)
+
+
+def _walk_segments(t0, t1, period, bin_width, n_bins):
+    """Each lane's ``(bin, duration)`` list, read off the batch walk."""
+    segments = [[] for _ in range(t0.shape[0])]
+    for at, index, duration, emit in _batch_walk(
+        t0, t1 - t0, period, bin_width, n_bins
+    ):
+        # Row-major over the transposed block: lane by lane, in step order.
+        for lane, step in zip(*np.nonzero(emit.T)):
+            segments[at[lane]].append(
+                (int(index[step, lane]), float(duration[step, lane]))
+            )
+    return segments
+
+
+class TestProfileWalkDifferential:
+    """The lane-vectorized bin walk against the scalar ``ProfilePredictor``.
+
+    Every lane gets its own predictor shape and window; starts sit
+    anywhere, or on or a few ulps around a bin edge, spans reach several
+    periods, and the kernels address the bin tables through a shuffled
+    row map.
+    """
+
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1000.0),
+                st.floats(min_value=1e-8, max_value=120.0),
+                st.one_of(st.none(), st.integers(min_value=-3, max_value=3)),
+                st.sampled_from([10.0, 37.0, 690.9, 3.3]),
+                st.sampled_from([1, 2, 4, 8, 48, 64]),
+            ),
+            min_size=1,
+            max_size=8,
         )
-        assert method == shared
+    )
+    @settings(max_examples=100, deadline=None)
+    # Rounding puts this start on its bin's upper edge: the first ladder
+    # edge is exactly 0.0, so the walk skips step 0 and starts in bin 37.
+    @example(lanes=[(533.0, 1.0, 0, 690.9, 48)])
+    # One bin (the walk wraps onto bin 0 every step), a tiny period
+    # (a window of many periods), and starts nudged off an edge.
+    @example(
+        lanes=[
+            (12.5, 95.0, 0, 10.0, 1),
+            (0.3, 2.0, 2, 0.125, 64),
+            (400.0, 60.0, -3, 37.0, 8),
+            (533.0, 1.0, 1, 690.9, 48),
+        ]
+    )
+    def test_lanes_bit_equal_scalar(self, lanes):
+        scalars = []
+        windows = []
+        for k, (t0, span, nudge, period, n_bins) in enumerate(lanes):
+            p = ProfilePredictor(
+                period=period, n_bins=n_bins, alpha=_ALPHAS[k % 3],
+                initial_power=_INITIALS[k % 2],
+            )
+            # Distinct per-bin history, so every bin weight matters.
+            for step in range(3):
+                a = step * period / 3.0
+                p.observe(a, a + period / 2.0, (step + 1.5) * period)
+            start = _nudged_start(t0, nudge, period, p.bin_width)
+            scalars.append(p)
+            windows.append((start, start + span))
+        n = len(scalars)
+        rows = np.arange(n)[::-1].copy()  # lane i lives in table row n-1-i
+        max_bins = max(p.n_bins for p in scalars)
+        estimates = np.zeros((n, max_bins))
+        seen = np.zeros((n, max_bins), dtype=np.bool_)
+        for i, p in enumerate(scalars):
+            estimates[rows[i], : p.n_bins] = p.bin_estimates()
+            seen[rows[i], : p.n_bins] = p.bin_seen()
+        t0 = np.asarray([w[0] for w in windows])
+        t1 = np.asarray([w[1] for w in windows])
+        period = np.asarray([p.period for p in scalars])
+        bin_width = np.asarray([p.bin_width for p in scalars])
+        n_bins = np.asarray([p.n_bins for p in scalars], dtype=np.int64)
+        alpha = np.asarray([p.alpha for p in scalars])
+
+        walked = _walk_segments(t0, t1, period, bin_width, n_bins)
+        for i, p in enumerate(scalars):
+            assert walked[i] == list(
+                profile_segments(*windows[i], p.period, p.bin_width, p.n_bins)
+            )
+
+        predicted = batch_profile_predict(
+            t0, t1, period, bin_width, n_bins, estimates, rows
+        )
+        for i, p in enumerate(scalars):
+            assert predicted[i] == p.predict_energy(*windows[i])
+
+        power = 2.75
+        energy = power * (t1 - t0)
+        live = np.flatnonzero(t1 - t0 > EPSILON)  # the caller's gate
+        batch_profile_observe(
+            t0[live], t1[live], period[live], bin_width[live], n_bins[live],
+            alpha[live], energy[live], estimates, seen, rows[live],
+        )
+        for i, p in enumerate(scalars):
+            p.observe(*windows[i], float(energy[i]))
+            assert estimates[rows[i], : p.n_bins].tolist() == (
+                p.bin_estimates().tolist()
+            )
+            assert seen[rows[i], : p.n_bins].tolist() == p.bin_seen().tolist()
 
 
 class TestMeanObserveEdgeCases:

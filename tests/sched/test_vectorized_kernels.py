@@ -332,8 +332,11 @@ class TestNumpyAccumulationContract:
     def test_cumsum_accumulates_left_to_right(self, values):
         """``np.cumsum`` rounds once per element in walk order.
 
-        ``repro.sim.batch._quantized_energy`` relies on this to keep
-        batch energy totals bit-equal to the scalar segment walk.
+        ``repro.sim.batch._quantized_energy`` relies on this (row-wise)
+        to keep batch energy totals bit-equal to the scalar segment walk,
+        and ``repro.energy.vectorized.batch_profile_predict`` (down the
+        columns of a steps-by-lanes block) to keep predicted energies
+        bit-equal to the scalar predictor's sum.
         """
         row = np.asarray(values)
         total = 0.0
@@ -343,6 +346,8 @@ class TestNumpyAccumulationContract:
 
         block = np.tile(row, (3, 1))
         assert (np.cumsum(block, axis=1)[:, -1] == total).all()
+        columns = np.ascontiguousarray(block.T)
+        assert (np.cumsum(columns, axis=0)[-1] == total).all()
 
     def test_masked_zero_add_is_identity(self):
         rng = np.random.default_rng(1234)
@@ -381,10 +386,10 @@ class TestNumpyAccumulationContract:
     def test_mod_matches_python_for_nonnegative(self, pairs):
         """``np.mod`` == ``%`` on non-negative operands.
 
-        The profile-predictor bin walk
-        (:func:`repro.energy.vectorized.iter_profile_segments`) folds
-        ``t0`` into the cycle with ``np.mod`` where the scalar predictor
-        uses ``%``.
+        The lane-vectorized profile-predictor bin walk
+        (:func:`repro.energy.vectorized._batch_walk`) folds ``t0`` into
+        the cycle with ``np.mod`` where the scalar
+        :func:`repro.energy.predictor.profile_segments` uses ``%``.
         """
         a = np.asarray([p[0] for p in pairs])
         b = np.asarray([p[1] for p in pairs])
