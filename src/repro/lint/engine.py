@@ -22,8 +22,8 @@ line suppresses the code for the whole file.  ``disable=all`` works in
 both positions.  Unknown codes in a suppression are reported as
 ``RPR902``, and suppressions that no longer match any live finding are
 reported as *stale* (``RPR903``, informational by default;
-``repro lint --fail-on-stale`` gates on them and ``--fix`` strips
-them) — so suppressions cannot rot silently in either direction.
+``repro lint --fail-on-stale`` gates on them) — so suppressions cannot
+rot silently in either direction.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "ruleset_codes",
 ]
 
-#: Version of the analysis engine, recorded in JSON/SARIF reports and in
+#: Version of the analysis engine, recorded in JSON reports and in
 #: baseline files so a stale baseline is detected instead of silently
 #: matching against different semantics.  Bump on any change to rule
 #: behaviour or diagnostic messages.
@@ -70,7 +70,7 @@ UNKNOWN_SUPPRESSION_CODE = "RPR902"
 #: Code attached to suppression comments that no longer suppress a live
 #: finding.  Reported out of band (``LintReport.stale_suppressions``),
 #: so a stale note never fails a default run — ``--fail-on-stale`` opts
-#: into gating on them and ``--fix`` strips them.
+#: into gating on them.
 STALE_SUPPRESSION_CODE = "RPR903"
 
 _CODE_RE = re.compile(r"^RPR\d{3}$")
@@ -452,7 +452,7 @@ class LintReport:
             lines.append("")
             lines.append(
                 f"{len(self.stale_suppressions)} stale suppression(s) "
-                "(match no finding; remove with --fix):"
+                "(match no finding; delete the directive):"
             )
             lines.extend(
                 f"  {diag.format_text()}" for diag in self.stale_suppressions
@@ -469,8 +469,7 @@ class LintReport:
 
         Findings render as ``::error`` and stale-suppression notes as
         ``::notice``, so a PR touched by the lint job shows each
-        finding inline at its file/line without any SARIF upload round
-        trip.  Escaping follows the workflow-command rules: ``%``,
+        finding inline at its file/line.  Escaping follows the workflow-command rules: ``%``,
         ``\\r``, ``\\n`` in all fields; ``:`` and ``,`` additionally in
         property values.
         """

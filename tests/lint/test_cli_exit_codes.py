@@ -2,10 +2,12 @@
 
 The CLI promises 0 = clean, 1 = findings (or a tripped gate), 2 =
 usage/internal error.  These tests drive :func:`repro.cli.main` over a
-throwaway tree so the baseline ratchet, ``--fail-on-stale``, ``--fix``,
-and the ``--format github`` annotations are exercised exactly the way
-CI invokes them.
+throwaway tree so the baseline ratchet, ``--fail-on-stale``,
+``--certify`` and the ``--format github``/``json`` renderings are
+exercised exactly the way CI invokes them.
 """
+
+import json
 
 import pytest
 
@@ -101,6 +103,23 @@ class TestBaselineRatchet:
         assert main(["lint", "src", "--baseline", "base.json"]) == 1
         assert "suppression count grew" in capsys.readouterr().out
 
+    def test_json_stdout_stays_parseable_with_baseline(self, tree, capsys):
+        tree("dirty.py", FINDING)
+        main(["lint", "src", "--baseline", "base.json", "--update-baseline"])
+        capsys.readouterr()
+        assert (
+            main(
+                [
+                    "lint", "src", "--baseline", "base.json",
+                    "--format", "json",
+                ]
+            )
+            == 0
+        )
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["counts"] == {"RPR101": 1}
+        assert "baseline check passed" in captured.err
+
 
 class TestFailOnStale:
     def test_stale_is_a_note_by_default(self, tree, capsys):
@@ -111,15 +130,7 @@ class TestFailOnStale:
     def test_fail_on_stale_exits_one(self, tree, capsys):
         tree("hushed.py", STALE)
         assert main(["lint", "src", "--fail-on-stale"]) == 1
-        assert "repro lint --fix" in capsys.readouterr().err
-
-    def test_fix_strips_stale_then_gate_passes(self, tree, capsys):
-        tree("hushed.py", STALE)
-        assert main(["lint", "src", "--fix"]) == 0
-        capsys.readouterr()
-        assert main(["lint", "src", "--fail-on-stale"]) == 0
-        report = capsys.readouterr().out
-        assert "stale suppression" not in report
+        assert "delete the directive" in capsys.readouterr().err
 
     def test_fail_on_stale_composes_with_baseline(self, tree, capsys):
         tree("hushed.py", STALE)
@@ -158,6 +169,12 @@ class TestCertifyCli:
         (tmp_path / "purity-roots.toml").write_text(self.MANIFEST)
         assert main(["lint", "src", "--certify"]) == 1
         assert "NOT certified" in capsys.readouterr().out
+
+    def test_unresolved_root_exits_one(self, tree, tmp_path, capsys):
+        tree("mod.py", "def other(x):\n    return x + 1\n")
+        (tmp_path / "purity-roots.toml").write_text(self.MANIFEST)
+        assert main(["lint", "src", "--certify"]) == 1
+        assert "UNRESOLVED repro/mod.py::canon" in capsys.readouterr().out
 
     def test_explain_path_tainted_exits_one(self, tree, tmp_path, capsys):
         tree(

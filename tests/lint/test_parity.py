@@ -184,16 +184,25 @@ class TestFirstDivergence:
 
 
 class TestCli:
-    def test_coverage_passes(self, capsys):
-        assert main(["--coverage"]) == 0
-        out = capsys.readouterr().out
-        assert "covers all" in out
+    def test_coverage_passes(self):
+        from repro.sched.vectorized import SCHEDULER_KINDS
+
+        # A pair without both pins is reported by RPR410 but proves no
+        # parity, so only fully pinned pairs count towards coverage.
+        pinned_pairs = [
+            pair for pair in PAIRS
+            if set(parity._PINNED.get(pair.name, {})) >= {"scalar", "batch"}
+        ]
+        covered = {name for pair in pinned_pairs for name in pair.covers}
+        assert covered == set(SCHEDULER_KINDS)
 
     def test_coverage_reaches_every_scheduler(self):
         from repro.sched.vectorized import SCHEDULER_KINDS
 
+        # Equality, not inclusion: a pair naming an unknown scheduler is
+        # as much a registry bug as a batch kernel no pair reaches.
         covered = {name for pair in PAIRS for name in pair.covers}
-        assert set(SCHEDULER_KINDS) <= covered
+        assert covered == set(SCHEDULER_KINDS)
 
     def test_print_emits_pastable_literal(self, capsys):
         assert main(["--print", "--root", str(REPO_ROOT)]) == 0

@@ -19,7 +19,6 @@ from repro.lint.purity import (
     parse_manifest,
     ref_matches,
 )
-from repro.lint.purity import _check_purity_coverage
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -498,21 +497,30 @@ class TestMutation:
 
 
 class TestCoverageGate:
-    def test_certified_tree_passes(self, tmp_path, capsys):
+    """``repro lint --certify`` on a copy of the real serialization tree."""
+
+    def _certify(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "src" / "repro").mkdir(parents=True, exist_ok=True)
+        return main(["lint", "src", "--certify"])
+
+    def test_certified_tree_passes(self, tmp_path, monkeypatch, capsys):
         _build_tree(tmp_path, inject=False)
-        assert _check_purity_coverage(str(tmp_path)) == 0
+        assert self._certify(tmp_path, monkeypatch) == 0
         out = capsys.readouterr().out
-        assert "covers all 1 hash-closure root(s)" in out
+        assert "fully certified" in out
 
-    def test_tainted_tree_fails(self, tmp_path, capsys):
+    def test_tainted_tree_fails(self, tmp_path, monkeypatch, capsys):
         _build_tree(tmp_path, inject=True)
-        assert _check_purity_coverage(str(tmp_path)) == 1
+        assert self._certify(tmp_path, monkeypatch) == 1
         out = capsys.readouterr().out
-        assert "not certified deterministic" in out
+        assert "NOT certified" in out
 
-    def test_missing_manifest_fails(self, tmp_path, capsys):
-        assert _check_purity_coverage(str(tmp_path)) == 1
-        assert "no purity-roots.toml" in capsys.readouterr().out
+    def test_missing_manifest_fails(self, tmp_path, monkeypatch, capsys):
+        assert self._certify(tmp_path, monkeypatch) == 2
+        assert "nothing to certify" in capsys.readouterr().out
 
 
 class TestExplainCli:

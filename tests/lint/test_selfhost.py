@@ -32,9 +32,17 @@ DEFAULT_TREE = [
 
 
 @pytest.fixture(scope="module")
-def default_tree_report():
-    """One full-tree lint run, shared by the tests that only read it."""
-    return lint_paths(DEFAULT_TREE, root=REPO_ROOT)
+def default_tree_run():
+    """One full-tree lint run, shared by the tests that only read it,
+    with the number of whole-program purity analyses it built."""
+    before = rules_purity.ANALYSIS_BUILDS
+    report = lint_paths(DEFAULT_TREE, root=REPO_ROOT)
+    return report, rules_purity.ANALYSIS_BUILDS - before
+
+
+@pytest.fixture(scope="module")
+def default_tree_report(default_tree_run):
+    return default_tree_run[0]
 
 
 class TestSelfHost:
@@ -82,12 +90,11 @@ class TestSelfHost:
             f"in {report.elapsed_seconds:.2f}s" in report.format_text()
         )
 
-    def test_one_purity_analysis_per_run(self):
+    def test_one_purity_analysis_per_run(self, default_tree_run):
         """All seven interprocedural RPR5xx rules share one whole-program
         analysis build per engine run."""
-        before = rules_purity.ANALYSIS_BUILDS
-        lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        assert rules_purity.ANALYSIS_BUILDS - before == 1
+        _report, analysis_builds = default_tree_run
+        assert analysis_builds == 1
 
     def test_hash_closure_fully_certified(self):
         """The CI purity gate: every checked-in hash-closure root must
