@@ -9,9 +9,10 @@ package makes those sweeps survive crashes, kills and budget limits:
   torn-write recovery on open;
 * :mod:`repro.runtime.supervisor` — a **worker supervisor** layering
   checkpoint/resume, deterministic seeded retry backoff, poisoned-task
-  quarantine and wall-clock/memory budgets over the scalar executor
-  (:func:`repro.analysis.parallel.run_parallel_salvage`) or the batch
-  engine (:func:`repro.sim.batch.execute_runspecs`);
+  quarantine and wall-clock/memory budgets over one cell executor
+  (:func:`repro.analysis.parallel.run_parallel_salvage`); on the batch
+  engine the vectorized core (:func:`repro.sim.batch.execute_runspecs`)
+  first answers the cells it covers and the executor runs the rest;
 * :mod:`repro.runtime.sweep` — the one sweep path every experiment
   uses (:func:`~repro.runtime.sweep.run_journaled_sweep` and its grid
   helper :func:`~repro.runtime.sweep.journaled_capacity_sweep`), plus

@@ -2,7 +2,10 @@
 
 :func:`run_supervised` generalizes
 :func:`repro.analysis.parallel.run_parallel_salvage` into a crash-aware
-service loop:
+service loop.  That executor runs every cell on both engines; on the
+batch engine the vectorized core (:func:`repro.sim.batch.
+execute_runspecs`) first answers the cells it covers, and only the rest
+reach it.  On top of that:
 
 * **checkpoint/resume** — with a :class:`~repro.runtime.journal.
   ResultJournal` attached, cells whose key is already journaled are
@@ -118,15 +121,18 @@ class SweepReport:
     journal_path: Optional[str] = None
     #: Which execution engine ran the cells (``"scalar"`` or ``"batch"``).
     engine: str = "scalar"
-    #: Cells the batch engine handed back to the scalar path (uncovered
-    #: shapes or core guard trips); always 0 on the scalar engine.
-    batch_fallbacks: int = 0
-    #: Histogram of fallback reasons for this run's executed cells only —
-    #: journal-resumed cells are answered before execution and never
-    #: re-add to it, so resuming an interrupted sweep cannot double
-    #: count.  Empty on the scalar engine and on fully-covered batches
-    #: (the default sweep grid is fully covered).
+    #: Histogram of the reasons the batch core left this run's executed
+    #: cells to the scalar executor — journal-resumed cells are answered
+    #: before execution and never re-add to it, so resuming an
+    #: interrupted sweep cannot double count.  Empty on the scalar
+    #: engine and on fully-covered batches (the default sweep grid is
+    #: fully covered).
     fallback_reasons: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def batch_fallbacks(self) -> int:
+        """Cells the batch core left to the scalar executor."""
+        return sum(self.fallback_reasons.values())
 
     @property
     def ok(self) -> bool:
@@ -227,11 +233,16 @@ def run_supervised(
     interruption converges to the same result set.  Results are slim
     (``jobs=()``) on both engines.
 
-    ``engine="batch"`` routes each batch through the vectorized SoA core
-    (:func:`repro.sim.batch.execute_runspecs`); cells the core does not
-    cover run scalar and are tallied in ``SweepReport.batch_fallbacks``.
-    Results are equivalent either way (the differential equivalence
-    suite enforces it), so journal entries mix freely across engines.
+    Every cell runs through one executor,
+    :func:`~repro.analysis.parallel.run_parallel_salvage`, except those
+    ``engine="batch"`` already answered: that engine puts the vectorized
+    SoA core (:func:`repro.sim.batch.execute_runspecs`) in front of the
+    executor, and the cells the core does not answer (uncovered shapes,
+    failed lane builds, evicted lanes) are tallied in
+    ``SweepReport.fallback_reasons`` and then get the same retries,
+    timeout, workers and quarantine as on the scalar engine.  Results
+    are equivalent either way (the differential equivalence suite
+    enforces it), so journal entries mix freely across engines.
     """
     if engine not in ("scalar", "batch"):
         raise ValueError(
@@ -273,7 +284,6 @@ def run_supervised(
     else:
         per_batch = max_workers or 1
     executed = 0
-    batch_fallbacks = 0
     fallback_reasons: dict[str, int] = {}
     budget_exhausted: Optional[str] = None
 
@@ -289,27 +299,29 @@ def run_supervised(
                 budget_exhausted = "memory"
                 break
         batch = pending[start:start + per_batch]
+        batch_specs = [specs[i] for i in batch]
+        batch_outcomes: list[Optional[Outcome]] = [None] * len(batch)
         if engine == "batch":
             from repro.sim.batch import execute_runspecs
 
-            batch_outcomes, batch_reasons = execute_runspecs(
-                [specs[i] for i in batch]
-            )
-            batch_fallbacks += sum(batch_reasons.values())
+            answered, batch_reasons = execute_runspecs(batch_specs)
+            batch_outcomes = list(answered)
             for reason, count in batch_reasons.items():
                 fallback_reasons[reason] = (
                     fallback_reasons.get(reason, 0) + count
                 )
-        else:
-            batch_outcomes = run_parallel_salvage(
-                [specs[i] for i in batch],
-                max_workers=max_workers,
-                timeout=policy.timeout,
-                retries=policy.retries,
-                backoff=policy.backoff,
-                jitter=policy.jitter,
-                seed=policy.seed + start,
-            )
+        rest = [k for k, o in enumerate(batch_outcomes) if o is None]
+        salvaged = run_parallel_salvage(
+            [batch_specs[k] for k in rest],
+            max_workers=max_workers,
+            timeout=policy.timeout,
+            retries=policy.retries,
+            backoff=policy.backoff,
+            jitter=policy.jitter,
+            seed=policy.seed + start,
+        )
+        for k, outcome in zip(rest, salvaged):
+            batch_outcomes[k] = outcome
         for i, outcome in zip(batch, batch_outcomes):
             executed += 1
             if isinstance(outcome, RunFailure):
@@ -339,6 +351,5 @@ def run_supervised(
         budget_exhausted=budget_exhausted,
         journal_path=str(journal.path) if journal is not None else None,
         engine=engine,
-        batch_fallbacks=batch_fallbacks,
         fallback_reasons=fallback_reasons,
     )

@@ -26,12 +26,13 @@ constant / solar-stochastic / day-night sources (unfaulted), finite
 (``oracle``, ``profile``, ``mean``, ``last-value`` — online predictor
 state lives in per-lane arrays, updated by the kernels in
 :mod:`repro.energy.vectorized`), both miss policies, zero switching
-overhead, no tracing/sampling.  Everything else (fault plans, infinite
-storage, custom schedulers, per-run energy sampling, setups that
-override ``run``) falls back per-scenario to the scalar simulator;
-:func:`execute_runspecs` and :func:`run_scenario_batch` count those
-fallbacks so sweeps can report them (``SweepReport.batch_fallbacks`` /
-``SweepReport.fallback_reasons``).
+overhead, no tracing/sampling.  Coverage is decided only where lanes are
+built: the builders raise :class:`UncoveredScenarioError` for everything
+else (fault plans, infinite storage, custom schedulers, per-run energy
+sampling, setups that override ``run``).  :func:`execute_runspecs`
+answers the covered cells and leaves ``None`` for the rest, which the
+supervisor's one scalar executor runs; :func:`run_scenario_batch` runs
+them in process.  Both histogram the fallback reasons.
 """
 
 # repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from repro.tasks.task import PeriodicTask, TaskSet
 from repro.timeutils import EPSILON, INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.parallel import RunFailure, RunSpec
+    from repro.analysis.parallel import RunSpec
     from repro.verify.scenarios import ScenarioSpec
 
 __all__ = [
@@ -90,9 +91,9 @@ __all__ = [
     "UncoveredScenarioError",
     "run_scenario_batch",
     "execute_runspecs",
-    "runspec_fallback_reason",
-    "scenario_fallback_reason",
 ]
+
+_SpecT = TypeVar("_SpecT")
 
 
 class UncoveredScenarioError(Exception):
@@ -435,8 +436,8 @@ class _BatchCore:
     ``HarvestingRtSimulator.run`` loop for every still-active lane; all
     per-lane arithmetic mirrors the scalar statements cited inline.
     Lanes that trip an internal guard (the vector twin of a scalar
-    ``raise``) are recorded in ``errors`` and excluded; the runner
-    re-executes them on the scalar path.
+    ``raise``) are recorded in ``errors`` and excluded; the front end
+    leaves them unanswered for the scalar path.
     """
 
     #: Matches SimulationConfig.max_iterations (the scalar bound).
@@ -1379,60 +1380,67 @@ class _BatchCore:
         )
 
 
-# -- coverage probes ------------------------------------------------------
-
-
-def scenario_fallback_reason(
-    spec: "ScenarioSpec", scheduler_name: str
-) -> Optional[str]:
-    """Why this (spec, scheduler) pair needs the scalar engine, or None."""
-    if scheduler_name not in SCHEDULER_KINDS:
-        return f"scheduler {scheduler_name!r} not vectorized"
-    if spec.faults.any_active:
-        return "fault plan active"
-    if not math.isfinite(spec.capacity):
-        return "infinite storage"
-    return None
-
-
-def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
-    """Why this sweep cell needs the scalar engine, or None.
-
-    A setup class that overrides ``run`` (fault wrappers, watchdog
-    settings, test doubles) defines its own simulation, which the lane
-    builder cannot see, so it always runs scalar.  All four predictor
-    kinds are vectorized; an unknown kind raises at lane build (exactly
-    where the scalar ``PaperSetup.predictor`` would) and is journaled as
-    a cell failure, not a fallback.
-    """
-    from repro.experiments.common import PaperSetup
-
-    if type(spec.setup).run is not PaperSetup.run:
-        return f"setup {type(spec.setup).__name__} overrides run"
-    if spec.scheduler_name not in SCHEDULER_KINDS:
-        return f"scheduler {spec.scheduler_name!r} not vectorized"
-    if spec.energy_sample_interval is not None:
-        return "energy sampling requested"
-    if not math.isfinite(spec.capacity):
-        return "infinite storage"
-    return None
-
-
 # -- front-ends -----------------------------------------------------------
+
+
+def _run_covered(
+    specs: Sequence[_SpecT],
+    build: Callable[[_SpecT], _Lane],
+    include_jobs: bool,
+) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
+    """Answer the cells the batch core covers, in input order.
+
+    A cell is ``None`` when ``build`` rejects its spec
+    (``UncoveredScenarioError``), its lane build raised, or the core
+    evicted its lane; the histogram tallies every such cell under its
+    reason, so its total is the number of ``None`` entries.
+    """
+    results: list[Optional[SimulationResult]] = [None] * len(specs)
+    reasons: dict[str, int] = {}
+
+    def tally(reason: str) -> None:
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+    lanes: list[_Lane] = []
+    placed: list[int] = []
+    for i, spec in enumerate(specs):
+        try:
+            lanes.append(build(spec))
+        except UncoveredScenarioError as exc:
+            tally(str(exc))
+            continue
+        except Exception as exc:  # the scalar rerun reports the error
+            tally(f"lane build raised {type(exc).__name__}")
+            continue
+        placed.append(i)
+    core = _BatchCore(lanes)
+    core.run()
+    for pos, i in enumerate(placed):
+        error = core.errors[pos]
+        if error is None:
+            results[i] = core.result(pos, include_jobs=include_jobs)
+        else:
+            tally(f"batch core: {error}")
+    return results, reasons
 
 
 @dataclass(frozen=True)
 class BatchOutcome:
     """Results of one batch run, in input order, with fallback accounting.
 
-    ``fallbacks`` counts entries that ran on the scalar engine (shape
-    not covered, or evicted from the core by an internal guard);
-    ``fallback_reasons`` histograms the reasons.
+    ``covered[i]`` says whether the core answered cell ``i``; the other
+    cells ran on the scalar engine, and ``fallback_reasons`` histograms
+    why.
     """
 
     results: tuple[SimulationResult, ...]
-    fallbacks: int
+    covered: tuple[bool, ...]
     fallback_reasons: dict[str, int]
+
+    @property
+    def fallbacks(self) -> int:
+        """Cells that ran on the scalar engine."""
+        return sum(self.fallback_reasons.values())
 
 
 def run_scenario_batch(
@@ -1443,90 +1451,38 @@ def run_scenario_batch(
     Results are full (job tuples included): the differential harness
     compares them job by job.
     """
-    n = len(specs)
-    results: list[Optional[SimulationResult]] = [None] * n
-    reasons: dict[str, int] = {}
-    batch_indices: list[int] = []
-    lanes: list[_Lane] = []
-    for i, spec in enumerate(specs):
-        reason = scenario_fallback_reason(spec, scheduler_name)
-        if reason is None:
-            try:
-                lanes.append(_scenario_lane(spec, scheduler_name))
-                batch_indices.append(i)
-                continue
-            except UncoveredScenarioError as exc:
-                reason = str(exc)
-        reasons[reason] = reasons.get(reason, 0) + 1
-        results[i] = spec.run(scheduler_name)
-    core = _BatchCore(lanes)
-    core.run()
-    for pos, i in enumerate(batch_indices):
-        if core.errors[pos] is None:
-            results[i] = core.result(pos)
-        else:
-            reason = f"batch core: {core.errors[pos]}"
-            reasons[reason] = reasons.get(reason, 0) + 1
-            results[i] = specs[i].run(scheduler_name)
-    final = tuple(r for r in results if r is not None)
-    assert len(final) == n
+
+    def build(spec: "ScenarioSpec") -> _Lane:
+        return _scenario_lane(spec, scheduler_name)
+
+    answered, reasons = _run_covered(specs, build, include_jobs=True)
     return BatchOutcome(
-        results=final,
-        fallbacks=sum(reasons.values()),
+        results=tuple(
+            spec.run(scheduler_name) if result is None else result
+            for spec, result in zip(specs, answered)
+        ),
+        covered=tuple(result is not None for result in answered),
         fallback_reasons=reasons,
     )
 
 
 def execute_runspecs(
     specs: Sequence["RunSpec"],
-) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
-    """Execute sweep cells; returns (slim outcomes, fallback histogram).
+) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
+    """Answer the sweep cells the core covers: (slim results, reasons).
 
-    Uncovered cells run on the scalar engine through the pool's own
-    cell executor, so any error (batch or scalar) is captured as a
-    :class:`~repro.analysis.parallel.RunFailure` — traceback and
-    watchdog diagnostics included — and the supervisor journals it
-    exactly like a pooled failure.
+    A ``None`` entry is a cell the core did not answer; the supervisor
+    runs those through its scalar executor, with the policy's retries,
+    timeout and workers, so an error is captured there exactly like on
+    the scalar engine.
     """
-    from repro.analysis.parallel import _execute_captured, _failure
-
-    n = len(specs)
-    outcomes: list[Optional[Union[SimulationResult, "RunFailure"]]] = (
-        [None] * n
-    )
-    reasons: dict[str, int] = {}
-    batch_indices: list[int] = []
-    lanes: list[_Lane] = []
-    for i, spec in enumerate(specs):
-        reason = runspec_fallback_reason(spec)
-        if reason is None:
-            try:
-                lanes.append(_runspec_lane(spec))
-                batch_indices.append(i)
-                continue
-            except UncoveredScenarioError as exc:
-                reason = str(exc)
-            except Exception as exc:  # setup error: report as failure
-                outcomes[i] = _failure(spec, exc)
-                continue
-        reasons[reason] = reasons.get(reason, 0) + 1
-        outcomes[i] = _execute_captured(spec)
-    core = _BatchCore(lanes)
-    core.run()
-    for pos, i in enumerate(batch_indices):
-        if core.errors[pos] is None:
-            outcomes[i] = core.result(pos, include_jobs=False)
-        else:
-            reason = f"batch core: {core.errors[pos]}"
-            reasons[reason] = reasons.get(reason, 0) + 1
-            outcomes[i] = _execute_captured(specs[i])
-    final = [outcome for outcome in outcomes if outcome is not None]
-    assert len(final) == n
-    return final, reasons
+    return _run_covered(specs, _runspec_lane, include_jobs=False)
 
 
 def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
     """A lane replaying ScenarioSpec.build_simulator's setup exactly."""
+    if spec.faults.any_active:
+        raise UncoveredScenarioError("fault plan active")
     rng = (
         np.random.default_rng(spec.aet_seed)
         if spec.aet_seed is not None
@@ -1552,9 +1508,19 @@ def _runspec_lane(spec: "RunSpec") -> _Lane:
     All-periodic sets take the array-only job path — no ``Job`` objects
     are created, which is the setup hot spot on big sweeps; such lanes
     cannot serve ``result(include_jobs=True)``, which sweeps never ask
-    for.
+    for.  A setup class that overrides ``run`` (fault wrappers, watchdog
+    settings, test doubles) defines its own simulation, which this
+    builder cannot see, so it is not covered.
     """
+    from repro.experiments.common import PaperSetup
+
     setup = spec.setup
+    if type(setup).run is not PaperSetup.run:
+        raise UncoveredScenarioError(
+            f"setup {type(setup).__name__} overrides run"
+        )
+    if spec.energy_sample_interval is not None:
+        raise UncoveredScenarioError("energy sampling requested")
     taskset = setup.taskset(spec.seed, spec.utilization)
     source = setup.source(spec.seed)
     arrays = _periodic_job_arrays(taskset, setup.horizon)

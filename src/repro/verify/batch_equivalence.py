@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.sched.vectorized import SCHEDULER_KINDS
 from repro.sim.batch import run_scenario_batch
 from repro.sim.simulator import SimulationResult
 from repro.verify.differential import DifferentialReport, Discrepancy
@@ -48,12 +49,7 @@ __all__ = [
 #: Scheduler policies with a vectorized kernel (every registry policy
 #: the batch engine claims to cover — uncovered names are a fallback,
 #: not a comparison).
-BATCH_CHECKED_SCHEDULERS: tuple[str, ...] = (
-    "edf",
-    "lsa",
-    "ea-dvfs",
-    "ea-dvfs-noslowdown",
-)
+BATCH_CHECKED_SCHEDULERS: tuple[str, ...] = tuple(SCHEDULER_KINDS)
 
 #: Integer counters that must match bit-exactly between engines.
 _EXACT_FIELDS: tuple[str, ...] = (
@@ -202,8 +198,6 @@ def run_batch_equivalence(
         report.predictor_kinds[spec.predictor_kind] = (
             report.predictor_kinds.get(spec.predictor_kind, 0) + 1
         )
-    from repro.sim.batch import scenario_fallback_reason
-
     total = n * len(BATCH_CHECKED_SCHEDULERS)
     done = 0
     for scheduler_name in BATCH_CHECKED_SCHEDULERS:
@@ -215,24 +209,20 @@ def run_batch_equivalence(
             report.fallback_reasons[reason] = (
                 report.fallback_reasons.get(reason, 0) + count
             )
-        for spec, batch_result in zip(specs, outcome.results):
+        for spec, batch_result, covered in zip(
+            specs, outcome.results, outcome.covered
+        ):
             # The scalar reference run.  For fallback cells the batch
             # front-end already ran scalar — the comparison then checks
             # determinism of the fallback path rather than the core.
             scalar_result = spec.run(scheduler_name)
             report.simulations_run += 1
             report.checks_run += 1
-            vectorized = (
-                scenario_fallback_reason(spec, scheduler_name) is None
-            )
+            label = "batch-equivalence" if covered else "batch-fallback"
             for problem in compare_results(scalar_result, batch_result):
                 report.discrepancies.append(Discrepancy(
                     seed=spec.seed,
-                    check=(
-                        f"batch-equivalence[{scheduler_name}]"
-                        if vectorized
-                        else f"batch-fallback[{scheduler_name}]"
-                    ),
+                    check=f"{label}[{scheduler_name}]",
                     detail=problem,
                     scenario=spec.describe(),
                 ))

@@ -150,7 +150,10 @@ class TestSupervisedWithJournal:
             assert report.journal_hits == 1
             assert report.outcomes[0].quarantined is True
 
-    def test_flaky_cell_heals_through_journaled_retries(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_flaky_cell_heals_through_journaled_retries(
+        self, tmp_path, engine
+    ):
         setup = FlakySetup(
             horizon=200.0,
             scratch_dir=str(tmp_path / "scratch"),
@@ -161,11 +164,50 @@ class TestSupervisedWithJournal:
         policy = SupervisorPolicy(retries=1, backoff=0.0)
         with ResultJournal(tmp_path / "j.journal") as journal:
             report = run_supervised(
-                specs, policy=policy, journal=journal, max_workers=1
+                specs, policy=policy, journal=journal, max_workers=1,
+                engine=engine,
             )
             assert report.ok  # failed once, healed on the in-run retry
             result = report.outcomes[0]
             assert isinstance(result, SimulationResult)
+
+
+class TestEngineParity:
+    """Cells the batch core does not answer get the scalar engine's policy."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_stalled_fallback_times_out(self, tmp_path, engine):
+        setup = FlakySetup(
+            horizon=200.0,
+            scratch_dir=str(tmp_path / "scratch"),
+            mode="stall",
+            stall_seconds=5.0,
+        )
+        report = run_supervised(
+            specs_for(2, setup=setup),
+            policy=SupervisorPolicy(timeout=0.5, retries=0),
+            max_workers=2,
+            engine=engine,
+        )
+        assert report.failed == 2
+        for failure in report.outcomes:
+            assert isinstance(failure, RunFailure)
+            assert failure.timed_out is True
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_unknown_predictor_kind_fails_alike(self, engine):
+        setup = PaperSetup(horizon=200.0, predictor_kind="psychic")
+        report = run_supervised(
+            specs_for(1, setup=setup),
+            policy=SupervisorPolicy(retries=1, backoff=0.0),
+            max_workers=1,
+            engine=engine,
+        )
+        (failure,) = report.outcomes
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "ValueError"
+        assert "psychic" in failure.message
+        assert failure.attempts == 2
 
 
 class TestJournaledSweepHelpers:

@@ -31,8 +31,6 @@ from repro.sim.batch import (
     _runspec_lane,
     execute_runspecs,
     run_scenario_batch,
-    runspec_fallback_reason,
-    scenario_fallback_reason,
 )
 from repro.sim.simulator import SimulationResult
 from repro.verify.batch_equivalence import (
@@ -132,44 +130,56 @@ class TestSeededSweep:
 class TestFallbackRouting:
     def test_runspec_fallback_reasons(self):
         covered = _grid(seeds=1)[0]
-        assert runspec_fallback_reason(covered) is None
         # The default (profile) predictor is vectorized — no fallback.
         profile = dataclasses.replace(
             covered, setup=PaperSetup(horizon=400.0)
         )
-        assert runspec_fallback_reason(profile) is None
-        sampled = dataclasses.replace(covered, energy_sample_interval=10.0)
-        assert "sampling" in str(runspec_fallback_reason(sampled))
-        unknown = dataclasses.replace(covered, scheduler_name="stretch-edf")
-        assert "not vectorized" in str(runspec_fallback_reason(unknown))
-        infinite = dataclasses.replace(covered, capacity=math.inf)
-        assert "infinite" in str(runspec_fallback_reason(infinite))
+        assert execute_runspecs([covered, profile])[1] == {}
+        for changes, fragment in (
+            ({"energy_sample_interval": 10.0}, "sampling"),
+            ({"scheduler_name": "stretch-edf"}, "not vectorized"),
+            ({"capacity": math.inf}, "infinite"),
+        ):
+            spec = dataclasses.replace(covered, **changes)
+            outcomes, reasons = execute_runspecs([spec])
+            assert outcomes == [None]
+            (reason,) = reasons
+            assert fragment in reason
+            assert reasons[reason] == 1
 
     def test_scenario_fallback_reasons(self):
         spec = ScenarioSpec(
             seed=0, tasks=(TaskParams(period=20.0, wcet=2.0),),
             predictor_kind="oracle",
         )
-        assert scenario_fallback_reason(spec, "ea-dvfs") is None
+        outcome = run_scenario_batch([spec], "ea-dvfs")
+        assert outcome.covered == (True,)
+        assert outcome.fallback_reasons == {}
         faulted = dataclasses.replace(
             spec, faults=FaultPlan(overrun=True)
         )
-        assert scenario_fallback_reason(faulted, "ea-dvfs") == (
-            "fault plan active"
-        )
+        outcome = run_scenario_batch([faulted], "ea-dvfs")
+        assert outcome.covered == (False,)
+        assert outcome.fallback_reasons == {"fault plan active": 1}
         # Every online predictor kind is vectorized now — no predictor
         # triggers a fallback under any covered scheduler.
-        for kind in ("profile", "mean", "last-value"):
-            online = dataclasses.replace(spec, predictor_kind=kind)
-            for scheduler in ("lsa", "ea-dvfs", "edf"):
-                assert scenario_fallback_reason(online, scheduler) is None
+        online = [
+            dataclasses.replace(spec, predictor_kind=kind)
+            for kind in ("profile", "mean", "last-value")
+        ]
+        for scheduler in ("lsa", "ea-dvfs", "edf"):
+            outcome = run_scenario_batch(online, scheduler)
+            assert outcome.fallbacks == 0
+            assert all(outcome.covered)
 
     def test_mixed_batch_counts_fallbacks(self):
         covered = _grid(seeds=1)[0]
         sampled = dataclasses.replace(covered, energy_sample_interval=10.0)
         outcomes, reasons = execute_runspecs([covered, sampled])
         assert len(outcomes) == 2
-        assert all(isinstance(o, SimulationResult) for o in outcomes)
+        assert isinstance(outcomes[0], SimulationResult)
+        # The uncovered cell is left for the supervisor's executor.
+        assert outcomes[1] is None
         assert sum(reasons.values()) == 1
         assert any("sampling" in reason for reason in reasons)
 
