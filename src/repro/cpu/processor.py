@@ -32,6 +32,9 @@ class Processor:
         self._idle_power = float(idle_power)
         self._overhead = overhead or SwitchingOverhead()
         self._current: Optional[FrequencyLevel] = None
+        # Position of the current level in the scale (busy-time slot);
+        # meaningless while idle.
+        self._current_index = 0
         self._busy_time = [0.0] * len(scale)
         self._idle_time = 0.0
         self._switches = 0
@@ -86,8 +89,13 @@ class Processor:
         transitions to/from idle (clock gating is assumed free — only
         voltage/frequency transitions pay).
         """
-        if level is not None and level not in self._scale.levels:
-            raise ValueError(f"{level!r} is not a level of {self._scale!r}")
+        if level is not None:
+            try:
+                self._current_index = self._scale.index_of(level)
+            except ValueError:
+                raise ValueError(
+                    f"{level!r} is not a level of {self._scale!r}"
+                ) from None
         previous = self._current
         self._current = level
         if (
@@ -103,12 +111,12 @@ class Processor:
 
     def account_time(self, duration: float) -> None:
         """Record ``duration`` elapsing in the current state."""
-        if duration < 0 or math.isnan(duration):
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"duration must be >= 0, got {duration!r}")
         if self._current is None:
             self._idle_time += duration
         else:
-            self._busy_time[self._scale.index_of(self._current)] += duration
+            self._busy_time[self._current_index] += duration
 
     # -- statistics --------------------------------------------------------------
 

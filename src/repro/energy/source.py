@@ -51,7 +51,8 @@ class EnergySource(abc.ABC):
     Subclasses implement :meth:`power` (instantaneous net output power
     after conversion losses, i.e. the paper's ``PS(t)``) and
     :meth:`next_boundary` (the next instant at which the power may change).
-    :meth:`energy` integrates the power exactly by walking boundaries.
+    :meth:`energy` integrates the power exactly by walking boundaries, and
+    :meth:`power_and_boundary` answers both queries at once.
     """
 
     @abc.abstractmethod
@@ -65,6 +66,15 @@ class EnergySource(abc.ABC):
         Between consecutive boundaries the power is constant.  Sources with
         truly constant output return ``+inf``.
         """
+
+    def power_and_boundary(self, t: float) -> tuple[float, float]:
+        """``(power(t), next_boundary(t))`` in one call.
+
+        The simulator asks for both once per segment.  The default simply
+        calls the two methods, so a new source needs no override;
+        quantized sources answer both from a single quantum lookup.
+        """
+        return self.power(t), self.next_boundary(t)
 
     def mean_power(self) -> float:
         """Long-run average output power.
@@ -92,14 +102,14 @@ class EnergySource(abc.ABC):
         total = 0.0
         t = t0
         while t < t1 - EPSILON:
-            boundary = self.next_boundary(t)
+            power, boundary = self.power_and_boundary(t)
             if boundary <= t:  # defensive: a boundary must advance time
                 raise RuntimeError(
                     f"{type(self).__name__}.next_boundary({t!r}) = {boundary!r} "
                     "does not advance time"
                 )
             segment_end = min(boundary, t1)
-            total += self.power(t) * (segment_end - t)
+            total += power * (segment_end - t)
             t = segment_end
         return total
 
@@ -113,7 +123,8 @@ class EnergySource(abc.ABC):
 
 
 def _check_time(t: float) -> None:
-    if t < -EPSILON or math.isnan(t):
+    # One comparison rejects both negative times and NaN (which fails it).
+    if not t >= -EPSILON:
         raise ValueError(f"source time must be >= 0, got {t!r}")
 
 
@@ -147,7 +158,11 @@ class ConstantSource(EnergySource):
 
 
 class _QuantizedSource(EnergySource):
-    """Base for sources that are constant on a regular quantum grid."""
+    """Base for sources that are constant on a regular quantum grid.
+
+    Subclasses implement :meth:`_quantum_power` (the power of one quantum);
+    every time-based query maps ``t`` to its quantum index exactly once.
+    """
 
     def __init__(self, quantum: float) -> None:
         if quantum <= 0 or not math.isfinite(quantum):
@@ -163,10 +178,22 @@ class _QuantizedSource(EnergySource):
         _check_time(t)
         # Nudge by EPSILON so that a query *at* a boundary (possibly with
         # float noise just below it) lands in the quantum that starts there.
-        return max(0, int(math.floor((t + EPSILON) / self._quantum)))
+        # The check guarantees t + EPSILON >= 0, so the index is >= 0.
+        return math.floor((t + EPSILON) / self._quantum)
+
+    @abc.abstractmethod
+    def _quantum_power(self, index: int) -> float:
+        """Output power during quantum ``index >= 0``."""
+
+    def power(self, t: float) -> float:
+        return self._quantum_power(self._index(t))
 
     def next_boundary(self, t: float) -> float:
         return (self._index(t) + 1) * self._quantum
+
+    def power_and_boundary(self, t: float) -> tuple[float, float]:
+        index = self._index(t)
+        return self._quantum_power(index), (index + 1) * self._quantum
 
 
 class SolarStochasticSource(_QuantizedSource):
@@ -222,11 +249,9 @@ class SolarStochasticSource(_QuantizedSource):
         self._rectify = rectify
         self._envelope_period = float(envelope_period)
         self._rng = np.random.default_rng(self._seed)
-        self._draws: list[float] = []
-        # The simulator queries the same quantum several times per
-        # segment; memoize the last computed (index, power) pair.
-        self._cached_index = -1
-        self._cached_power = 0.0
+        # Power of quantum k at index k, grown in quantum order, so the
+        # RNG is consumed in the same order whatever the query order.
+        self._powers: list[float] = []
 
     @property
     def seed(self) -> int:
@@ -244,32 +269,36 @@ class SolarStochasticSource(_QuantizedSource):
     def envelope_period(self) -> float:
         return self._envelope_period
 
-    def _draw(self, index: int) -> float:
-        """Rectified normal draw for quantum ``index`` (cached, in-order)."""
-        while len(self._draws) <= index:
-            n = float(self._rng.standard_normal())
-            if self._rectify == "abs":
+    def _quantum_power(self, index: int) -> float:
+        powers = self._powers
+        if index >= len(powers):
+            self._extend_powers(index)
+        return powers[index]
+
+    def _extend_powers(self, index: int) -> None:
+        """Grow the power table to cover quantum ``index``.
+
+        Grows geometrically (at least to ``index``), so a run that walks
+        the quanta one by one pays the loop set-up rarely.  Growing past
+        ``index`` draws the same values later queries would draw.
+        """
+        powers = self._powers
+        stop = max(index + 1, 2 * len(powers), 64)
+        rng = self._rng
+        rectify = self._rectify
+        amplitude = self._amplitude
+        quantum = self._quantum
+        period = self._envelope_period
+        for k in range(len(powers), stop):
+            n = float(rng.standard_normal())
+            if rectify == "abs":
                 n = abs(n)
-            elif self._rectify == "clamp":
+            elif rectify == "clamp":
                 n = max(n, 0.0)
-            self._draws.append(n)
-        return self._draws[index]
-
-    def _envelope(self, t: float) -> float:
-        # cos^2(t / (envelope_period / pi)); with the default period the
-        # argument is t / 70pi exactly as in eq. (13).
-        c = math.cos(math.pi * t / self._envelope_period)
-        return c * c
-
-    def power(self, t: float) -> float:
-        index = self._index(t)
-        if index == self._cached_index:
-            return self._cached_power
-        midpoint = (index + 0.5) * self.quantum
-        value = self._amplitude * self._draw(index) * self._envelope(midpoint)
-        self._cached_index = index
-        self._cached_power = value
-        return value
+            # Envelope cos^2(t_mid / (envelope_period / pi)); with the
+            # default period the argument is t / 70pi exactly as in eq. (13).
+            c = math.cos(math.pi * ((k + 0.5) * quantum) / period)
+            powers.append(amplitude * n * (c * c))
 
     def mean_power(self) -> float:
         """Closed-form long-run mean (envelope averages to 1/2)."""
@@ -363,8 +392,7 @@ class MarkovWeatherSource(_QuantizedSource):
         c = math.cos(math.pi * t / self._envelope_period)
         return c * c
 
-    def power(self, t: float) -> float:
-        index = self._index(t)
+    def _quantum_power(self, index: int) -> float:
         midpoint = (index + 0.5) * self.quantum
         base = self._clear_power * self._envelope(midpoint)
         return base if self._state(index) else base * self._cloudy_factor
@@ -499,8 +527,7 @@ class TraceSource(_QuantizedSource):
         self._powers = values
         self._cyclic = bool(cyclic)
 
-    def power(self, t: float) -> float:
-        index = self._index(t)
+    def _quantum_power(self, index: int) -> float:
         if self._cyclic:
             index %= self._powers.size
         elif index >= self._powers.size:

@@ -24,16 +24,18 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.timeutils import EPSILON, INFINITY, snap_nonnegative
 
 __all__ = ["SegmentResult", "EnergyStorage", "IdealStorage", "NonIdealStorage"]
 
 
-@dataclass(frozen=True)
-class SegmentResult:
+class SegmentResult(NamedTuple):
     """Energy bookkeeping for one constant-power segment.
+
+    A named tuple: immutable, and cheap enough to build once per
+    simulated segment.
 
     Attributes
     ----------
@@ -158,9 +160,22 @@ class EnergyStorage(abc.ABC):
         Crossing the *capacity* is fine — the excess is counted as
         overflow.
         """
-        if duration < 0 or math.isnan(duration):
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"duration must be >= 0, got {duration!r}")
         self._check_powers(harvest_power, draw_power)
+        return self._advance_segment(duration, harvest_power, draw_power)
+
+    def _advance_segment(
+        self, duration: float, harvest_power: float, draw_power: float
+    ) -> SegmentResult:
+        """:meth:`advance` after its argument checks.
+
+        The simulator calls this directly with a non-negative duration and
+        the powers that its segment already passed through
+        :meth:`time_to_empty`, so each segment validates them once.
+        Models that replace the whole segment update override this, not
+        :meth:`advance`.
+        """
         # Exact == 0.0 on purpose: a tolerant zero would swallow the
         # energy of sub-EPSILON slivers and break conservation oracles.
         if duration == 0.0:  # repro-lint: disable=RPR101 -- exact by design
@@ -208,9 +223,10 @@ class EnergyStorage(abc.ABC):
 
     @staticmethod
     def _check_powers(harvest_power: float, draw_power: float) -> None:
-        if harvest_power < 0 or math.isnan(harvest_power):
+        # `not x >= 0` rejects negative powers and NaN in one comparison.
+        if not harvest_power >= 0:
             raise ValueError(f"harvest power must be >= 0, got {harvest_power!r}")
-        if draw_power < 0 or math.isnan(draw_power):
+        if not draw_power >= 0:
             raise ValueError(f"draw power must be >= 0, got {draw_power!r}")
 
     def _saturate(self, proposed: float) -> tuple[float, float]:

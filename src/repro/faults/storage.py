@@ -324,13 +324,10 @@ class DegradedStorage(EnergyStorage):
             return INFINITY
         return max(0.0, (cap - self._inner.stored) / rate)
 
-    def advance(
+    def _advance_segment(
         self, duration: float, harvest_power: float, draw_power: float
     ) -> SegmentResult:
-        if duration < 0 or math.isnan(duration):
-            raise ValueError(f"duration must be >= 0, got {duration!r}")
-        self._check_powers(harvest_power, draw_power)
-        # Exact == 0.0, matching EnergyStorage.advance: sub-EPSILON
+        # Exact == 0.0, matching EnergyStorage._advance_segment: sub-EPSILON
         # slivers still carry energy the conservation oracles count.
         if duration == 0.0:  # repro-lint: disable=RPR101 -- exact by design
             return SegmentResult(drawn=0.0, stored_delta=0.0, overflow=0.0)
@@ -387,8 +384,8 @@ class DegradedStorage(EnergyStorage):
 
     def _advance_finite(
         self, duration: float, harvest_power: float, draw_power: float
-    ) -> SegmentResult:  # pragma: no cover - advance() is fully overridden
-        raise AssertionError("DegradedStorage overrides advance() directly")
+    ) -> SegmentResult:  # pragma: no cover - _advance_segment() is fully overridden
+        raise AssertionError("DegradedStorage overrides _advance_segment() directly")
 
     def draw_instant(self, energy: float) -> float:
         return self._inner.draw_instant(energy)

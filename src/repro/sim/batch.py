@@ -162,11 +162,11 @@ def _source_params(source: EnergySource, t_max: float) -> _SourceParams:
         elif rectify == "clamp":
             draws = np.maximum(draws, 0.0)
         midpoints = (np.arange(count).astype(np.float64) + 0.5) * quantum
-        # Mirrors SolarStochasticSource.power: amplitude * draw * cos^2.
+        # Mirrors SolarStochasticSource._extend_powers: amplitude * draw * cos^2.
         # np.cos matches math.cos bit for bit on these inputs on every
         # platform the equivalence sweep runs (no SIMD-vs-libm drift has
         # been observed for cos, unlike pow); the scalar twin
-        # SolarStochasticSource._envelope uses math.cos, and
+        # SolarStochasticSource._extend_powers uses math.cos, and
         # `repro verify --batch` re-proves the equality on every CI run.
         cosine = np.cos(  # repro-lint: disable=RPR402 -- matches math.cos, verified dynamically
             np.pi * midpoints / source.envelope_period

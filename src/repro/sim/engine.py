@@ -2,11 +2,12 @@
 
 SimPy is not available in this offline environment, so the repository ships
 its own kernel.  It is intentionally small: a monotonic clock plus a binary
-heap of :class:`ScheduledEvent` entries with deterministic tie-breaking
-(time, then priority, then insertion order).  The harvesting simulator in
-:mod:`repro.sim.simulator` is built on top of it, and the kernel is generic
-enough to be reused for other event-driven models (see the unit tests for a
-standalone M/M/1-style example).
+heap of ``(time, priority, sequence, event)`` tuples, so tie-breaking is
+deterministic (time, then priority, then insertion order) and done by
+plain tuple comparison, never by the :class:`ScheduledEvent` handle.  The
+harvesting simulator in :mod:`repro.sim.simulator` is built on top of it,
+and the kernel is generic enough to be reused for other event-driven
+models (see the unit tests for a standalone M/M/1-style example).
 """
 
 # The event queue orders and dispatches instants *exactly* (total order
@@ -72,11 +73,11 @@ class SimulationClock:
 
 @dataclass(order=False)
 class ScheduledEvent:
-    """An event stored in an :class:`EventQueue`.
+    """The handle of an event stored in an :class:`EventQueue`.
 
-    Events compare by ``(time, priority, sequence)`` which makes the pop
-    order fully deterministic for equal timestamps.  Lower ``priority``
-    values pop first.
+    The queue orders events by ``(time, priority, sequence)``, which makes
+    the pop order fully deterministic for equal timestamps.  Lower
+    ``priority`` values pop first.
     """
 
     time: float
@@ -88,15 +89,9 @@ class ScheduledEvent:
     cancelled: bool = field(default=False, compare=False)
     dispatched: bool = field(default=False, compare=False)
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.sequence)
-
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 class EventQueue:
@@ -109,7 +104,9 @@ class EventQueue:
 
     def __init__(self, start: float = 0.0) -> None:
         self._clock = SimulationClock(start)
-        self._heap: list[ScheduledEvent] = []
+        # The sequence number is unique, so tuple comparison never reaches
+        # the event handle.
+        self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._live = 0
         self._processed = 0
@@ -151,15 +148,17 @@ class EventQueue:
                     f"requested {time!r}"
                 )
             time = self.now
+        time = float(time)
+        sequence = next(self._counter)
         event = ScheduledEvent(
-            time=float(time),
+            time=time,
             priority=priority,
-            sequence=next(self._counter),
+            sequence=sequence,
             kind=kind,
             payload=payload,
             callback=callback,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
 
@@ -198,14 +197,15 @@ class EventQueue:
 
     def peek_time(self) -> float:
         """Time of the next live event, or ``+inf`` when empty."""
-        self._drop_dead_entries()
-        if not self._heap:
-            return math.inf
-        return self._heap[0].time
+        heap = self._heap
+        if heap and heap[0][3].cancelled:
+            self._drop_dead_entries()
+        return heap[0][0] if heap else math.inf
 
     def _drop_dead_entries(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
 
     # -- execution --------------------------------------------------------
 
@@ -214,7 +214,7 @@ class EventQueue:
         self._drop_dead_entries()
         if not self._heap:
             raise IndexError("pop from an empty event queue")
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         event.dispatched = True
         self._live -= 1
         self._processed += 1

@@ -270,7 +270,14 @@ class HarvestingRtSimulator:
         self._events = EventQueue()
         self._ready = EdfReadyQueue()
         self._trace = Trace(kinds=self._config.trace_kinds)
+        # Record arguments are built only when the trace stores anything;
+        # the trace itself filters by kind.
+        self._tracing = self._trace.enabled
         self._t = 0.0
+
+        # The source's (power, next boundary) at `_t`, looked up once
+        # each time `_t` is set.
+        self._source_now = (0.0, INFINITY)
 
         # Execution plan state.
         self._decision: Optional[Decision] = None
@@ -314,6 +321,7 @@ class HarvestingRtSimulator:
             raise RuntimeError("a simulator instance can only run once")
         self._finished = True
         self._seed_events()
+        self._source_now = self._source.power_and_boundary(self._t)
 
         horizon = self._config.horizon
         stagnant = 0
@@ -322,8 +330,7 @@ class HarvestingRtSimulator:
             if self._t >= horizon - EPSILON:
                 break
             self._maybe_decide()
-            seg_end = self._segment_end()
-            advanced = self._advance_to(seg_end)
+            advanced = self._advance_to(*self._segment_end())
             stagnant = 0 if advanced else stagnant + 1
             if stagnant > 1000:
                 if self._watchdog is not None:
@@ -370,8 +377,11 @@ class HarvestingRtSimulator:
     # -- event handling -------------------------------------------------------------
 
     def _process_due_events(self) -> None:
-        while self._events and self._events.peek_time() <= self._t + EPSILON:
-            event = self._events.pop()
+        events = self._events
+        due = self._t + EPSILON
+        next_time = events.peek_time()
+        while next_time <= due:
+            event = events.pop()
             job: Job = event.payload
             if event.kind == _RELEASE:
                 self._on_release(job)
@@ -379,6 +389,7 @@ class HarvestingRtSimulator:
                 self._on_deadline(job)
             else:  # pragma: no cover - no other kinds are scheduled
                 raise RuntimeError(f"unexpected event kind {event.kind!r}")
+            next_time = events.peek_time()
 
     def _on_release(self, job: Job) -> None:
         job.mark_released()
@@ -386,13 +397,14 @@ class HarvestingRtSimulator:
         self._per_task_released[job.task.name] = (
             self._per_task_released.get(job.task.name, 0) + 1
         )
-        self._trace.record(
-            self._t,
-            TraceKind.JOB_RELEASE,
-            job=job.name,
-            deadline=job.absolute_deadline,
-            wcet=job.wcet,
-        )
+        if self._tracing:
+            self._trace.record(
+                self._t,
+                TraceKind.JOB_RELEASE,
+                job=job.name,
+                deadline=job.absolute_deadline,
+                wcet=job.wcet,
+            )
         self._need_decision = True
 
     def _on_deadline(self, job: Job) -> None:
@@ -405,12 +417,13 @@ class HarvestingRtSimulator:
         self._per_task_missed[job.task.name] = (
             self._per_task_missed.get(job.task.name, 0) + 1
         )
-        self._trace.record(
-            self._t,
-            TraceKind.JOB_MISS,
-            job=job.name,
-            remaining=job.remaining_work,
-        )
+        if self._tracing:
+            self._trace.record(
+                self._t,
+                TraceKind.JOB_MISS,
+                job=job.name,
+                remaining=job.remaining_work,
+            )
         if self._config.miss_policy is DeadlineMissPolicy.DROP:
             job.mark_missed()
             self._ready.remove(job)
@@ -461,7 +474,11 @@ class HarvestingRtSimulator:
         self._decision = decision
         previous = self._running
         if decision.is_idle:
-            if previous is not None and not previous.is_finished:
+            if (
+                self._tracing
+                and previous is not None
+                and not previous.is_finished
+            ):
                 self._trace.record(
                     self._t, TraceKind.JOB_PREEMPT, job=previous.name, by="idle"
                 )
@@ -473,18 +490,24 @@ class HarvestingRtSimulator:
 
         job = decision.job
         assert job is not None and decision.level is not None
-        if previous is not None and previous is not job and not previous.is_finished:
+        if (
+            self._tracing
+            and previous is not None
+            and previous is not job
+            and not previous.is_finished
+        ):
             self._trace.record(
                 self._t, TraceKind.JOB_PREEMPT, job=previous.name, by=job.name
             )
         if previous is not job:
             job.note_started(self._t)
-            self._trace.record(
-                self._t,
-                TraceKind.JOB_START,
-                job=job.name,
-                speed=decision.level.speed,
-            )
+            if self._tracing:
+                self._trace.record(
+                    self._t,
+                    TraceKind.JOB_START,
+                    job=job.name,
+                    speed=decision.level.speed,
+                )
         self._running = job
         self._switch_at = decision.switch_to_max_at
         self._set_processor_level(decision.level)
@@ -495,7 +518,11 @@ class HarvestingRtSimulator:
         old = self._level
         overhead = self._processor.set_level(level)
         self._level = level
-        if level is not None and (old is None or old.speed != level.speed):
+        if (
+            self._tracing
+            and level is not None
+            and (old is None or old.speed != level.speed)
+        ):
             self._trace.record(
                 self._t,
                 TraceKind.FREQ_CHANGE,
@@ -537,51 +564,59 @@ class HarvestingRtSimulator:
             return 0.0
         return idle
 
-    def _segment_end(self) -> float:
+    def _segment_end(self) -> tuple[float, float, float]:
+        """End of the next segment, with its harvest and draw powers."""
         t = self._t
         horizon = self._config.horizon
-        end = min(horizon, self._events.peek_time(), self._next_sample_after(t))
-        end = min(end, self._source.next_boundary(t))
+        harvest, boundary = self._source_now
+        end = min(horizon, self._events.peek_time(), self._next_sample)
+        # Each `if x < end: end = x` below is `end = min(end, x)` (the
+        # same float for every input, NaN included) without a builtin call.
+        if boundary < end:
+            end = boundary
 
+        decision = self._decision
         if self._stalled_until is not None:
-            end = min(end, self._stalled_until)
-        elif self._decision is None or self._decision.is_idle:
-            if self._decision is not None:
-                end = min(end, self._decision.reconsider_at)
+            if self._stalled_until < end:
+                end = self._stalled_until
+        elif decision is None or decision.is_idle:
+            if decision is not None and decision.reconsider_at < end:
+                end = decision.reconsider_at
             # While idle with work pending, quantum boundaries double as
             # scheduling points (handled in _advance_to), so no extra cap
             # is needed here: the source boundary already bounds `end`.
         else:
             job = self._running
             assert job is not None and self._level is not None
-            if self._t < self._dead_until:
-                end = min(end, self._dead_until)
+            if t < self._dead_until:
+                if self._dead_until < end:
+                    end = self._dead_until
             else:
                 completion = t + job.time_to_finish(max(self._level.speed, 1e-12))
-                end = min(end, completion)
-            if self._switch_at is not None:
-                end = min(end, self._switch_at)
-            end = min(end, self._decision.reconsider_at)
+                if completion < end:
+                    end = completion
+            if self._switch_at is not None and self._switch_at < end:
+                end = self._switch_at
+            if decision.reconsider_at < end:
+                end = decision.reconsider_at
 
-        harvest = self._source.power(t)
         draw = self._current_draw(harvest)
+        # The one power check of the segment.
         t_empty = self._storage.time_to_empty(harvest, draw)
         if t + t_empty < end - EPSILON:
             end = t + t_empty
-        return max(end, t)
+        return (t if t > end else end), harvest, draw  # max(end, t)
 
-    def _advance_to(self, end: float) -> bool:
-        """Advance the world to ``end``; returns whether time moved."""
+    def _advance_to(self, end: float, harvest: float, draw: float) -> bool:
+        """Advance the world to ``end`` at the segment's ``harvest`` and
+        ``draw`` powers; returns whether time moved."""
         t = self._t
         duration = max(0.0, end - t)
-        harvest = self._source.power(t)
-        draw = self._current_draw(harvest)
 
         if duration > 0.0:  # repro-lint: disable=RPR101 -- exact: zero-length steps only
-            # Split the draw at the depletion instant if it falls inside
-            # (can only happen from float noise, since _segment_end caps
-            # at depletion; stay defensive).
-            segment = self._storage.advance(duration, harvest, draw)
+            # _segment_end caps the segment at depletion, and
+            # time_to_empty already validated these powers.
+            segment = self._storage._advance_segment(duration, harvest, draw)
             if self._watchdog is not None:
                 self._watchdog.observe_segment(
                     t, end, harvest, draw, segment, self._storage
@@ -592,15 +627,19 @@ class HarvestingRtSimulator:
                 speed = 0.0 if t < self._dead_until else self._level.speed
                 self._running.execute(speed, duration, self._level.power)
             self._t = end
+            # The one source lookup per segment: _post_segment and the
+            # next _segment_end both read it.
+            self._source_now = self._source.power_and_boundary(end)
 
         self._post_segment()
         return duration > EPSILON
 
     def _post_segment(self) -> None:
         t = self._t
-        # Re-read the harvest at the *new* time: the segment may have ended
-        # exactly at a source quantum boundary where the power changes.
-        harvest = self._source.power(t)
+        # The harvest at the *new* time (looked up by _advance_to): the
+        # segment may have ended exactly at a source quantum boundary
+        # where the power changes.
+        harvest, boundary = self._source_now
         # 1. Energy trace sampling.
         if t >= self._next_sample - EPSILON:
             self._record_energy_sample(harvest)
@@ -623,13 +662,14 @@ class HarvestingRtSimulator:
                 self._completed_count += 1
                 if self._watchdog is not None:
                     self._watchdog.observe_completion()
-                self._trace.record(
-                    t,
-                    TraceKind.JOB_COMPLETE,
-                    job=job.name,
-                    lateness=job.lateness,
-                    energy=job.energy_consumed,
-                )
+                if self._tracing:
+                    self._trace.record(
+                        t,
+                        TraceKind.JOB_COMPLETE,
+                        job=job.name,
+                        lateness=job.lateness,
+                        energy=job.energy_consumed,
+                    )
                 self._clear_plan()
                 return
             # 4. Depletion -> stall.  The storage's own net-flow model
@@ -639,7 +679,7 @@ class HarvestingRtSimulator:
             if self._storage.is_empty and (
                 self._storage.net_flow(harvest, draw) < -EPSILON
             ):
-                self._enter_stall()
+                self._enter_stall(boundary)
                 return
             # 5. Planned switch to full speed (EA-DVFS s2).
             if self._switch_at is not None and t >= self._switch_at - EPSILON:
@@ -659,19 +699,19 @@ class HarvestingRtSimulator:
         if self._ready and self._stalled_until is None:
             self._need_decision = True
 
-    def _enter_stall(self) -> None:
+    def _enter_stall(self, boundary: float) -> None:
+        """Suspend the running job until ``boundary`` (the source's next
+        quantum boundary) or the stall retry interval, whichever is first."""
         job = self._running
         assert job is not None
-        resume = min(
-            self._source.next_boundary(self._t),
-            self._t + self._config.stall_retry_interval,
-        )
-        self._trace.record(
-            self._t,
-            TraceKind.STALL,
-            job=job.name,
-            resume_at=resume,
-        )
+        resume = min(boundary, self._t + self._config.stall_retry_interval)
+        if self._tracing:
+            self._trace.record(
+                self._t,
+                TraceKind.STALL,
+                job=job.name,
+                resume_at=resume,
+            )
         self._stall_count += 1
         if self._watchdog is not None:
             self._watchdog.observe_stall(self._t)
@@ -684,19 +724,17 @@ class HarvestingRtSimulator:
         self._switch_at = None
         self._set_processor_level(None)
 
-    def _next_sample_after(self, t: float) -> float:
-        return self._next_sample
-
     def _record_energy_sample(self, harvest: float) -> None:
         interval = self._config.energy_sample_interval
         assert interval is not None
-        self._trace.record(
-            self._t,
-            TraceKind.ENERGY,
-            stored=self._storage.stored,
-            fraction=self._storage.fraction,
-            harvest_power=harvest,
-        )
+        if self._tracing:
+            self._trace.record(
+                self._t,
+                TraceKind.ENERGY,
+                stored=self._storage.stored,
+                fraction=self._storage.fraction,
+                harvest_power=harvest,
+            )
         while self._next_sample <= self._t + EPSILON:
             self._next_sample += interval
 

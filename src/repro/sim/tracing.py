@@ -77,6 +77,11 @@ class Trace:
         """Whether records of ``kind`` are stored by this trace."""
         return self._kinds is None or kind in self._kinds
 
+    @property
+    def enabled(self) -> bool:
+        """Whether this trace stores records of any kind."""
+        return self._kinds is None or bool(self._kinds)
+
     def record(self, time: float, kind: str, **fields: Any) -> None:
         """Append a record (no-op when ``kind`` is filtered out)."""
         if not self.accepts(kind):

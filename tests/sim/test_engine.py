@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.engine import EventQueue, SimulationClock
+from repro.timeutils import time_eq
 
 
 class TestSimulationClock:
@@ -128,6 +129,65 @@ class TestEventQueueOrdering:
             q.schedule(t, "e")
         popped = [q.pop().time for _ in range(len(times))]
         assert popped == sorted(popped)
+
+
+class TestTupleHeap:
+    """The heap orders ``(time, priority, sequence)`` keys, not handles."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_pop_order_is_time_then_priority_then_sequence(self, entries):
+        q = EventQueue()
+        for i, (t, p) in enumerate(entries):
+            q.schedule(t, "e", payload=i, priority=p)
+        popped = [q.pop().payload for _ in entries]
+        # Insertion index i is the sequence number here.
+        assert popped == [
+            i for _, _, i in sorted((t, p, i) for i, (t, p) in enumerate(entries))
+        ]
+
+    def test_cancel_then_reschedule_at_same_time(self):
+        q = EventQueue()
+        first = q.schedule(1.0, "x", priority=0)
+        q.cancel(first)
+        again = q.schedule(1.0, "x", priority=0)
+        later = q.schedule(2.0, "y")
+        # The dead head entry is dropped, the rescheduled one surfaces.
+        assert time_eq(q.peek_time(), 1.0)
+        assert len(q) == 2
+        assert q.pop() is again
+        assert not first.dispatched
+        assert q.pop() is later
+        assert not q
+        assert math.isinf(q.peek_time())
+
+    def test_cancelled_entries_drop_in_order(self):
+        q = EventQueue()
+        doomed = [q.schedule(1.0, "d", priority=p) for p in (0, 1, 2)]
+        kept = q.schedule(1.0, "k", priority=3)
+        for event in doomed:
+            q.cancel(event)
+        assert time_eq(q.peek_time(), 1.0)
+        assert q.pop() is kept
+
+    def test_snapped_time_orders_as_now(self):
+        q = EventQueue()
+        q.schedule(5.0, "clock")
+        q.pop()
+        at_now = q.schedule(5.0, "now", priority=1)
+        snapped = q.schedule(5.0 - 1e-12, "snapped", priority=0)
+        tied = q.schedule(5.0 - 1e-12, "tied", priority=1)
+        # Snapped to now exactly, so ties break on priority, then
+        # sequence: unsnapped, `tied` would pop before `at_now`.
+        assert [q.pop() for _ in range(3)] == [snapped, at_now, tied]
 
 
 class TestEventQueueScheduling:

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.energy.storage import IdealStorage
+from repro.experiments.common import PaperSetup
+from repro.sched.registry import make_scheduler
+from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
 from repro.sim.tracing import Trace, TraceKind, TraceRecord
 
 
@@ -85,3 +89,62 @@ class TestTraceQueries:
         trace.record(9.0, "energy")
         assert len(snapshot) == 4
         assert len(trace.records) == 5
+
+
+class TestTracingIsObservationOnly:
+    """Enabling trace kinds records what happened and changes nothing."""
+
+    @staticmethod
+    def _run(scheduler_name, trace_kinds):
+        setup = PaperSetup(horizon=600.0)
+        source = setup.source(3)
+        simulator = HarvestingRtSimulator(
+            taskset=setup.taskset(3, 0.8),
+            source=source,
+            storage=IdealStorage(capacity=15.0),
+            scheduler=make_scheduler(scheduler_name, setup.scale()),
+            predictor=setup.predictor(source),
+            config=SimulationConfig(
+                horizon=600.0,
+                trace_kinds=trace_kinds,
+                energy_sample_interval=7.0,
+            ),
+        )
+        return simulator.run()
+
+    @pytest.mark.parametrize("scheduler_name", ["ea-dvfs", "lsa", "edf"])
+    def test_all_kinds_and_none_agree(self, scheduler_name):
+        quiet = self._run(scheduler_name, ())
+        loud = self._run(scheduler_name, TraceKind.ALL)
+        assert len(quiet.trace) == 0
+
+        def observable(result):
+            return (
+                result.released_count,
+                result.completed_count,
+                result.missed_count,
+                result.judged_count,
+                result.harvested_energy,
+                result.drawn_energy,
+                result.overflow_energy,
+                result.leaked_energy,
+                result.final_stored,
+                result.busy_time_profile,
+                result.idle_time,
+                result.switch_count,
+                result.stall_count,
+                result.stall_time,
+                result.per_task_released,
+                result.per_task_missed,
+                [job.completion_time for job in result.jobs],
+            )
+
+        assert observable(loud) == observable(quiet)
+        # The traced run recorded every counted event.
+        assert loud.trace.count(TraceKind.JOB_RELEASE) == loud.released_count
+        assert loud.trace.count(TraceKind.JOB_COMPLETE) == loud.completed_count
+        assert loud.trace.count(TraceKind.JOB_MISS) == loud.missed_count
+        assert loud.trace.count(TraceKind.STALL) == loud.stall_count
+        assert loud.trace.count(TraceKind.ENERGY) > 0
+        # The world is tight enough for misses and stalls to happen.
+        assert loud.missed_count > 0 and loud.stall_count > 0
